@@ -1,8 +1,8 @@
 """Pure-Python trajectory kernels: the fallback backend.
 
-These mirror _fastkernels.pyx statement for statement so that both backends
-produce bit-identical streams for the same inputs. Keep the arithmetic in
-sync when editing either file.
+This is the reference spec: the C extension _fastkernels.c mirrors it
+statement for statement so that both backends produce bit-identical streams
+for the same inputs. Keep the arithmetic in sync when editing either file.
 """
 import math
 
@@ -39,6 +39,8 @@ def bits_from_trajectory(kinds, bounds, p0, p1, p2, threshold, x0, noise, out):
 
     out[i] = (x_i >= threshold) with x_0 = x0 and x_{i+1} = clip(M(x_i) + noise[i]).
     """
+    if len(noise) < len(out):
+        raise ValueError("noise is shorter than out")
     kinds = kinds.tolist()
     bounds = bounds.tolist()
     p0 = p0.tolist()
@@ -55,6 +57,8 @@ def bits_from_trajectory(kinds, bounds, p0, p1, p2, threshold, x0, noise, out):
 
 def trajectory(kinds, bounds, p0, p1, p2, x0, noise, out):
     """Fill ``out`` with x_1..x_n; return the final state (== out[-1])."""
+    if len(noise) < len(out):
+        raise ValueError("noise is shorter than out")
     kinds = kinds.tolist()
     bounds = bounds.tolist()
     p0 = p0.tolist()

@@ -1,4 +1,4 @@
-"""Benchmark: compiled kernel vs pure-Python fallback.
+"""Benchmark: compiled C kernel vs pure-Python fallback.
 
 Run with ``python -m chaosrng.bench [--count N]``. Reports throughput of the
 bit-generation hot loop for a few representative maps on both backends and
@@ -40,17 +40,20 @@ def main(argv=None) -> int:
 
     if _fastkernels is None:
         print("compiled kernel not available; showing pure-Python timings only")
+    status = 0
     print(f"{'map':14s} {'python (Mbit/s)':>16s} {'compiled (Mbit/s)':>18s} {'speedup':>8s}")
     for name in ("bernoulli", "example", "zigzag"):
         m, gen = builtin_pair(name)
         t_py, bits_py = _run(_pykernels, m, gen, args.count)
         row = f"{name:14s} {args.count / t_py / 1e6:16.2f}"
         if _fastkernels is not None:
-            t_cy, bits_cy = _run(_fastkernels, m, gen, args.count)
-            match = "" if np.array_equal(bits_py, bits_cy) else "  [MISMATCH]"
-            row += f" {args.count / t_cy / 1e6:18.2f} {t_py / t_cy:8.1f}x{match}"
+            t_c, bits_c = _run(_fastkernels, m, gen, args.count)
+            match = ""
+            if not np.array_equal(bits_py, bits_c):
+                match, status = "  [MISMATCH]", 1
+            row += f" {args.count / t_c / 1e6:18.2f} {t_py / t_c:8.1f}x{match}"
         print(row)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
-"""Kernel backend selection: compiled extension if available, else pure Python.
+"""Kernel backend selection: the C extension if built, else pure Python.
+
+``_fastkernels.c`` is built by ``python setup.py build_ext --inplace`` (or
+``pip install``); ``_pykernels.py`` is the reference it mirrors bit for bit.
 
 Set CHAOSRNG_PURE_PYTHON=1 to force the fallback (used by the benchmark and
 the backend-equivalence tests). ``BACKEND`` names the active implementation.

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigError, DomainError, MapValidationError
 
 logger = logging.getLogger(__name__)
@@ -214,23 +215,18 @@ class PiecewiseMap:
         return np.clip(y, EDGE, 1.0 - EDGE)
 
     def iterate(self, x0: float, steps: int) -> list[float]:
-        """Trajectory x_1..x_steps; inputs near breakpoints are nudged by 1e-12."""
+        """Trajectory x_1..x_steps by the stream kernel, without noise.
+
+        Inputs within 1e-12 of a breakpoint are nudged off it, and each
+        value is clipped into (EDGE, 1-EDGE), as in ``kernels.trajectory``.
+        """
         if not (0.0 < x0 < 1.0):
             raise DomainError(f"x0={x0!r} outside the open interval (0,1)")
         if steps < 1:
             raise ConfigError("steps must be >= 1")
-        out = []
-        x = x0
-        nudges = 0
-        for _ in range(steps):
-            xn, moved = _nudge_scalar(x, self._breaks)
-            nudges += moved
-            br = self.branches[self.branch_index(xn)]
-            x = min(max(float(br.forward(xn)), EDGE), 1.0 - EDGE)
-            out.append(x)
-        if nudges:
-            logger.debug("iterate(%s): nudged %d breakpoint-proximal inputs", self.label, nudges)
-        return out
+        out = np.empty(steps)
+        kernels.trajectory(*self._kernel_spec, x0, np.zeros(steps), out)
+        return out.tolist()
 
     # -- preimage structure ----------------------------------------------------
 
@@ -300,17 +296,6 @@ class BitGen:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-def _nudge_scalar(x: float, breaks: np.ndarray) -> tuple[float, int]:
-    d = np.abs(breaks - x)
-    j = int(np.argmin(d))
-    if d[j] >= BREAKPOINT_NUDGE:
-        return x, 0
-    bp = breaks[j]
-    if bp + BREAKPOINT_NUDGE < 1.0:
-        return bp + BREAKPOINT_NUDGE, 1
-    return bp - BREAKPOINT_NUDGE, 1
-
 
 def nudge_off_breakpoints(x: np.ndarray, breaks: np.ndarray) -> np.ndarray:
     """Push values within 1e-12 of a breakpoint to breakpoint + 1e-12 (inward at 1)."""

@@ -1,5 +1,8 @@
 """Backend equivalence: the compiled kernels and the pure-Python fallback
-must emit bit-identical streams, since both defer to libm for the math."""
+must emit bit-identical streams, since both defer to libm for the math.
+
+Tests that compare the two backends take the ``fastkernels`` fixture and skip
+when the C extension is not built; the rest run on whichever backend is active."""
 import os
 import subprocess
 import sys
@@ -13,8 +16,11 @@ from chaosrng.maps import builtin_pair
 
 from conftest import BUILTINS
 
-fastkernels = pytest.importorskip(
-    "chaosrng._fastkernels", reason="compiled extension not built")
+
+@pytest.fixture
+def fastkernels():
+    return pytest.importorskip("chaosrng._fastkernels",
+                               reason="compiled extension not built")
 
 
 def _run(impl, name, count, dither, seed=3):
@@ -31,23 +37,23 @@ def _run(impl, name, count, dither, seed=3):
 
 @pytest.mark.parametrize("name", BUILTINS)
 @pytest.mark.parametrize("dither", [0.0, 2.0 ** -40])
-def test_backends_bit_identical(name, dither):
+def test_backends_bit_identical(name, dither, fastkernels):
     bits_py, final_py = _run(_pykernels, name, 100_000, dither)
-    bits_cy, final_cy = _run(fastkernels, name, 100_000, dither)
-    assert np.array_equal(bits_py, bits_cy)
-    assert final_py == final_cy
+    bits_c, final_c = _run(fastkernels, name, 100_000, dither)
+    assert np.array_equal(bits_py, bits_c)
+    assert final_py == final_c
 
 
 @pytest.mark.parametrize("name", BUILTINS)
-def test_trajectory_backends_identical(name):
+def test_trajectory_backends_identical(name, fastkernels):
     m, _ = builtin_pair(name)
     kinds, bounds, p0, p1, p2 = m.kernel_spec()
     noise = np.zeros(5000)
     out_py = np.empty(5000)
-    out_cy = np.empty(5000)
+    out_c = np.empty(5000)
     _pykernels.trajectory(kinds, bounds, p0, p1, p2, 0.37, noise, out_py)
-    fastkernels.trajectory(kinds, bounds, p0, p1, p2, 0.37, noise, out_cy)
-    assert np.array_equal(out_py, out_cy)
+    fastkernels.trajectory(kinds, bounds, p0, p1, p2, 0.37, noise, out_c)
+    assert np.array_equal(out_py, out_c)
 
 
 def test_trajectory_matches_iterate_affine():
@@ -60,13 +66,45 @@ def test_trajectory_matches_iterate_affine():
 
 
 def test_trajectory_matches_iterate_log_short():
-    # np.log2 (map API) and libm log2 (kernels) may differ in the last ulp,
-    # so only a short horizon is comparable for the logarithmic map
+    # iterate runs kernels.trajectory, so even the logarithmic map agrees exactly
     m, _ = builtin_pair("example")
     kinds, bounds, p0, p1, p2 = m.kernel_spec()
     out = np.empty(10)
     kernels.trajectory(kinds, bounds, p0, p1, p2, 0.371, np.zeros(10), out)
-    assert out == pytest.approx(m.iterate(0.371, 10), abs=1e-9)
+    assert out.tolist() == m.iterate(0.371, 10)
+
+
+def _bad_arguments(case):
+    m, gen = builtin_pair("zigzag")
+    kinds, bounds, p0, p1, p2 = m.kernel_spec()
+    noise = np.zeros(100)
+    out = np.empty(100, dtype=np.uint8)
+    if case == "short-noise":
+        noise = noise[:99]
+    elif case == "int64-kinds":
+        kinds = kinds.astype(np.int64)
+    elif case == "strided-out":
+        out = np.empty(200, dtype=np.uint8)[::2]
+    elif case == "short-bounds":
+        bounds = bounds[:-1]
+    return kinds, bounds, p0, p1, p2, gen.threshold, 0.3, noise, out
+
+
+@pytest.mark.parametrize("case", ["short-noise", "int64-kinds", "strided-out",
+                                  "short-bounds"])
+def test_compiled_kernel_rejects_bad_arguments(case, fastkernels):
+    # the extension reads raw buffers, so it must refuse what it cannot index
+    with pytest.raises((TypeError, ValueError)):
+        fastkernels.bits_from_trajectory(*_bad_arguments(case))
+
+
+def test_pure_python_kernel_rejects_short_noise():
+    kinds, bounds, p0, p1, p2, threshold, x0, noise, out = _bad_arguments("short-noise")
+    with pytest.raises(ValueError, match="noise is shorter than out"):
+        _pykernels.bits_from_trajectory(kinds, bounds, p0, p1, p2, threshold, x0,
+                                        noise, out)
+    with pytest.raises(ValueError, match="noise is shorter than out"):
+        _pykernels.trajectory(kinds, bounds, p0, p1, p2, x0, noise, np.empty(100))
 
 
 def test_final_state_chains_runs():
