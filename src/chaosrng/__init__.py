@@ -1,7 +1,7 @@
 """chaosrng: analysis toolkit for chaotic-map random bit generators.
 
 Submodules follow the pipeline: ``maps`` (piecewise interval maps),
-``density`` (transfer operator and steady states), ``symbolic`` (exact word
+``density`` (transfer operator and invariant densities), ``symbolic`` (exact word
 probabilities), ``entropy`` (entropy rates), ``postproc`` (bit streams and
 extractors), ``montecarlo`` (robustness profiles), ``stattests`` (randomness
 battery), ``cli`` (command line). ``kernels.BACKEND`` reports whether the
@@ -10,8 +10,9 @@ compiled extension or the pure-Python fallback is active.
 
 __version__ = "0.1.0"
 
-from .density import (DensityGrid, TransferOperator, apply, steady_state,
-                      steady_state_for, ulam_matrix, uniform_density)
+from .density import (DensityGrid, TransferOperator, apply, invariant_density,
+                      steady_state, steady_state_for, ulam_matrix,
+                      uniform_density)
 from .entropy import (EntropyReport, block_entropy, conditional_entropy,
                       empirical_entropy, entropy_rate)
 from .maps import (BitGen, Branch, PiecewiseMap, Preimage, builtin,
@@ -31,8 +32,8 @@ __all__ = [
     "BitGen", "Branch", "PiecewiseMap", "Preimage", "builtin", "builtin_pair",
     "default_bitgen", "from_json", "tailed_tent_parameter",
     "uniform_certificate", "validate_map",
-    "DensityGrid", "TransferOperator", "apply", "steady_state",
-    "steady_state_for", "ulam_matrix", "uniform_density",
+    "DensityGrid", "TransferOperator", "apply", "invariant_density",
+    "steady_state", "steady_state_for", "ulam_matrix", "uniform_density",
     "IntervalSet", "SequenceTable", "bias", "preimage_set", "refine", "s1",
     "EntropyReport", "block_entropy", "conditional_entropy",
     "empirical_entropy", "entropy_rate",

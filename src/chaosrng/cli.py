@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import steady_state, ulam_matrix, uniform_density
+from .density import invariant_density
 from .entropy import empirical_entropy, entropy_rate
 from .errors import (ChaosRngError, ConfigError, DomainError,
                      InsufficientDataError, MapValidationError,
                      MonteCarloError, NonConvergenceError, ResourceLimitError)
 from .maps import (BUILTIN_NAMES, BitGen, DEFAULT_THRESHOLDS, PiecewiseMap,
-                   builtin, from_json, uniform_certificate)
+                   builtin, from_json)
 from .montecarlo import PerturbationSpec, mc_profile
 from .postproc import (BitStream, DEFAULT_DITHER, build_typical_coder,
                        check_rate_bound, encode, generate_bits, read_stream,
@@ -103,10 +103,8 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--bins must be a power of two >= 64, got {args.bins}")
     m, gen = _resolve_map(args)
     out = _out_dir(args)
-    op = ulam_matrix(m, args.bins)
-    f = steady_state(op)
-    table = refine(m, gen, args.depth,
-                   density=None if uniform_certificate(m) else f)
+    f = invariant_density(m, args.bins)
+    table = refine(m, gen, args.depth, density=f)
     report = entropy_rate(m, gen, density=f, n_max=args.depth, table=table)
     (out / "density.csv").write_text(f.to_csv())
     (out / "sequence_table.csv").write_text(table.to_csv())
@@ -123,8 +121,7 @@ def cmd_analyze(args) -> int:
 def cmd_generate(args) -> int:
     m, gen = _resolve_map(args)
     out = _out_dir(args)
-    f = (uniform_density() if uniform_certificate(m)
-         else steady_state(ulam_matrix(m, 4096)))
+    f = invariant_density(m)
     stream = generate_bits(m, gen, f, args.count, args.seed, dither=args.dither)
     write_stream(out / args.out, stream)
     _write_manifest(args, "generate", {

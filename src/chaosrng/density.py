@@ -12,6 +12,10 @@ densities). Two constructions are available:
   and histogrammed. Kept as an independent cross-check of the exact build.
 
 Column j holds the distribution of mass leaving bin j (columns sum to 1).
+
+``invariant_density`` is the one place that decides which density the
+analysis uses: the exact uniform density when ``uniform_certificate`` proves
+Lebesgue measure invariant, else the fixed point of the operator above.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NonConvergenceError
-from .maps import PiecewiseMap
+from .maps import PiecewiseMap, uniform_certificate
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +39,8 @@ class DensityGrid:
     """Piecewise-constant probability density on a uniform partition of (0,1).
 
     ``values[i]`` is the density height on bin i, so sum(values)/n_bins == 1.
+    The bin edges and the CDF are computed from ``values`` once, at
+    construction, so the values must not change afterwards.
     """
 
     values: np.ndarray
@@ -49,6 +55,13 @@ class DensityGrid:
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"density integrates to {total!r}, not 1")
         self.values = np.maximum(v, 0.0)
+        # built once per grid, not per call: refine integrates every level
+        self._edges = np.linspace(0.0, 1.0, v.size + 1)
+        self._cum = np.concatenate([[0.0], np.cumsum(self.values) / v.size])
+        self._cum[-1] = 1.0
+        # np.interp returns hi - lo bit for bit here, so skip its binary searches
+        self._exact_length = ((v.size & (v.size - 1)) == 0
+                              and bool((self.values == 1.0).all()))
 
     @property
     def n_bins(self) -> int:
@@ -56,19 +69,22 @@ class DensityGrid:
 
     @property
     def edges(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_bins + 1)
+        return self._edges
 
     def cumulative(self) -> np.ndarray:
         """CDF values at the bin edges (length n_bins + 1, ends at 1)."""
-        c = np.concatenate([[0.0], np.cumsum(self.values) / self.n_bins])
-        c[-1] = 1.0
-        return c
+        return self._cum
 
     def integrate_pairs(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Exact integrals over intervals (lo_i, hi_i), partial bins prorated."""
-        cum = self.cumulative()
-        edges = self.edges
-        return np.interp(hi, edges, cum) - np.interp(lo, edges, cum)
+        """Exact integrals over intervals (lo_i, hi_i), partial bins prorated.
+
+        On the uniform density with a power-of-two bin count this is the
+        interval length, bit for bit.
+        """
+        if self._exact_length:
+            return np.clip(hi, 0.0, 1.0) - np.clip(lo, 0.0, 1.0)
+        return (np.interp(hi, self._edges, self._cum)
+                - np.interp(lo, self._edges, self._cum))
 
     def integrate(self, intervals) -> float:
         """Integral over an interval set (anything exposing lefts/rights or pairs)."""
@@ -145,7 +161,9 @@ def _ulam_exact(m: PiecewiseMap, n: int) -> sp.csr_matrix:
     edges = np.linspace(0.0, 1.0, n + 1)
     rows_all, cols_all, vals_all = [], [], []
     for br in m.branches:
-        u = br.pullback_edges(edges)  # ascending x, one per bin edge
+        u = br.pullback(edges)
+        if not br.increasing:
+            u = u[::-1]  # ascending x, one per bin edge
         lo, hi = u[0], u[-1]
         if hi - lo <= 0.0:
             continue
@@ -219,7 +237,13 @@ def steady_state(op: TransferOperator, tol: float = 1e-10,
         f"(last L1 step {diff:.3e})", residual=diff)
 
 
-def steady_state_for(m: PiecewiseMap, n_bins: int = DEFAULT_BINS,
-                     tol: float = 1e-10, max_iters: int = 100000) -> DensityGrid:
+def steady_state_for(m: PiecewiseMap, n_bins: int = DEFAULT_BINS) -> DensityGrid:
     """Build the exact-geometry operator for ``m`` and solve for its fixed point."""
-    return steady_state(ulam_matrix(m, n_bins), tol=tol, max_iters=max_iters)
+    return steady_state(ulam_matrix(m, n_bins))
+
+
+def invariant_density(m: PiecewiseMap, n_bins: int = DEFAULT_BINS) -> DensityGrid:
+    """The invariant density of ``m``: exactly uniform when certified, else solved."""
+    if uniform_certificate(m):
+        return uniform_density(n_bins)
+    return steady_state_for(m, n_bins)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityGrid, steady_state_for, uniform_density
+from .density import DensityGrid, invariant_density
 from .errors import InsufficientDataError
-from .maps import BitGen, PiecewiseMap, uniform_certificate
+from .maps import BitGen, PiecewiseMap
 from .symbolic import SequenceTable, refine
 
 logger = logging.getLogger(__name__)
@@ -91,10 +91,7 @@ def entropy_rate(m: PiecewiseMap, gen: BitGen, density: DensityGrid | None = Non
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if density is None:
-        if uniform_certificate(m):
-            density = uniform_density()
-        else:
-            density = steady_state_for(m)
+        density = invariant_density(m)
     if table is None:
         table = refine(m, gen, n_max, density=density)
 

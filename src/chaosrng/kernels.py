@@ -3,8 +3,9 @@
 ``_fastkernels.c`` is built by ``python setup.py build_ext --inplace`` (or
 ``pip install``); ``_pykernels.py`` is the reference it mirrors bit for bit.
 
-Set CHAOSRNG_PURE_PYTHON=1 to force the fallback (used by the benchmark and
-the backend-equivalence tests). ``BACKEND`` names the active implementation.
+Set CHAOSRNG_PURE_PYTHON=1 to force the fallback (used by
+``tests/test_kernels.py`` and by the pure-Python CI leg).
+``BACKEND`` names the active implementation.
 """
 import os
 

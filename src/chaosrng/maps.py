@@ -14,7 +14,6 @@ that land within 1e-12 of a breakpoint (a measure-zero fixup).
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -24,12 +23,14 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, DomainError, MapValidationError
 
-logger = logging.getLogger(__name__)
-
 #: proximity at which trajectory code nudges inputs off breakpoints
 BREAKPOINT_NUDGE = 1e-12
 #: values are kept strictly inside (EDGE, 1-EDGE) after each map application
 EDGE = 1e-15
+#: midpoints y at which uniform_certificate checks the transfer-operator sum
+CERTIFICATE_SAMPLES = 1024
+#: largest deviation of that sum from 1 that still certifies uniformity
+CERTIFICATE_TOL = 1e-9
 
 BUILTIN_NAMES = ("bernoulli", "tent", "example", "dec-bernoulli", "tailed-tent", "zigzag")
 
@@ -59,6 +60,12 @@ class Branch:
             raise ConfigError(f"unknown branch kind {self.kind!r}")
         if not (self.b > self.a):
             raise MapValidationError(f"empty branch domain ({self.a}, {self.b})")
+        # the endpoint values fix image and orientation; pullbacks read them
+        # on every refinement level, so evaluate them once
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lo, hi = float(self.forward(self.a)), float(self.forward(self.b))
+        object.__setattr__(self, "_increasing", hi >= lo)
+        object.__setattr__(self, "_image_raw", (lo, hi) if lo <= hi else (hi, lo))
 
     # -- forward / derivative / inverse ------------------------------------
 
@@ -88,9 +95,7 @@ class Branch:
 
     @property
     def image_raw(self) -> tuple[float, float]:
-        lo = float(self.forward(self.a))
-        hi = float(self.forward(self.b))
-        return (lo, hi) if lo <= hi else (hi, lo)
+        return self._image_raw
 
     @property
     def image(self) -> tuple[float, float]:
@@ -100,45 +105,23 @@ class Branch:
 
     @property
     def increasing(self) -> bool:
-        lo = self.forward(self.a)
-        hi = self.forward(self.b)
-        return bool(hi >= lo)
+        return self._increasing
 
-    def pullback_edges(self, y: np.ndarray) -> np.ndarray:
-        """Preimages of an ascending array of y-values, as ascending x-values.
+    def pullback(self, y: np.ndarray) -> np.ndarray:
+        """Element-wise preimages of the array ``y`` in the branch domain.
 
-        Values at or beyond the clipped image are snapped to the domain
-        endpoints, so saturated regions (raw image outside [0,1]) are
-        charged to the boundary rather than lost.
+        Values at or beyond the clipped image snap to the domain endpoint that
+        maps there, so saturated regions (raw image outside [0,1]) are charged
+        to the boundary rather than lost. On a decreasing branch an ascending
+        ``y`` gives descending x-values.
         """
-        y = np.asarray(y, dtype=float)
         lo_raw, hi_raw = self.image_raw
-        lo_eff = max(lo_raw, 0.0)
-        hi_eff = min(hi_raw, 1.0)
-        x = self.inverse(np.clip(y, lo_raw, hi_raw))
-        x = np.clip(x, self.a, self.b)
-        if self.increasing:
-            x = np.where(y <= lo_eff, self.a, x)
-            x = np.where(y >= hi_eff, self.b, x)
-            return x
-        x = np.where(y <= lo_eff, self.b, x)
-        x = np.where(y >= hi_eff, self.a, x)
-        return x[::-1]
-
-    def pullback_intervals(self, lo: np.ndarray, hi: np.ndarray):
-        """Preimage intervals of (lo_i, hi_i); inputs must lie within the image."""
-        xa = self.inverse(np.clip(lo, *self.image_raw))
-        xb = self.inverse(np.clip(hi, *self.image_raw))
-        if not self.increasing:
-            xa, xb = xb, xa
-        lo_eff, hi_eff = self.image
-        if self.increasing:
-            xa = np.where(lo <= lo_eff, self.a, xa)
-            xb = np.where(hi >= hi_eff, self.b, xb)
-        else:
-            xb = np.where(lo <= lo_eff, self.b, xb)
-            xa = np.where(hi >= hi_eff, self.a, xa)
-        return np.clip(xa, self.a, self.b), np.clip(xb, self.a, self.b)
+        x = np.clip(self.inverse(np.clip(y, lo_raw, hi_raw)), self.a, self.b)
+        lo, hi = self.image
+        at_lo, at_hi = (self.a, self.b) if self.increasing else (self.b, self.a)
+        x[y <= lo] = at_lo
+        x[y >= hi] = at_hi
+        return x
 
     def to_json_dict(self) -> dict:
         if self.kind == "affine":
@@ -307,15 +290,13 @@ def nudge_off_breakpoints(x: np.ndarray, breaks: np.ndarray) -> np.ndarray:
     return x
 
 
-def validate_map(m: PiecewiseMap, samples_per_branch: int = 64,
-                 strict_images: bool = True) -> None:
+def validate_map(m: PiecewiseMap, samples_per_branch: int = 64) -> None:
     """Check structural invariants by direct geometry plus interior sampling.
 
     Raises MapValidationError on: domains not covering (0,1), overlapping or
-    unordered branches, non-monotone branches, inverse/forward mismatch, or a
-    derivative inconsistent with a central finite difference. With
-    ``strict_images`` the raw images must stay within [0,1]; otherwise
-    clipping is allowed and logged (perturbed maps).
+    unordered branches, non-finite branch values, raw images leaving [0,1],
+    non-monotone branches, inverse/forward mismatch, or a derivative
+    inconsistent with a central finite difference.
     """
     brs = m.branches
     if not brs:
@@ -327,20 +308,20 @@ def validate_map(m: PiecewiseMap, samples_per_branch: int = 64,
             raise MapValidationError(
                 f"gap or overlap between branches at {left.b!r} vs {right.a!r}")
     for k, br in enumerate(brs):
-        lo, hi = br.image_raw
-        if strict_images and (lo < -1e-12 or hi > 1.0 + 1e-12):
-            raise MapValidationError(f"branch {k} image ({lo}, {hi}) leaves [0,1]")
-        if not strict_images and (lo < 0.0 or hi > 1.0):
-            logger.info("map %s branch %d image (%g, %g) clipped to [0,1]",
-                        m.label, k, lo, hi)
         h = (br.b - br.a) / (samples_per_branch + 1)
         xs = br.a + h * np.arange(1, samples_per_branch + 1)
+        lo, hi = br.image_raw
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ys = br.forward(xs)
+        if not (np.isfinite([lo, hi]).all() and np.isfinite(ys).all()):
+            raise MapValidationError(f"branch {k} has non-finite values on its domain")
+        if lo < -1e-12 or hi > 1.0 + 1e-12:
+            raise MapValidationError(f"branch {k} image ({lo}, {hi}) leaves [0,1]")
         d = np.asarray(br.derivative(xs))
         if not ((d > 0).all() or (d < 0).all()):
             raise MapValidationError(f"branch {k} derivative changes sign")
         if np.min(np.abs(d)) <= 0.0:
             raise MapValidationError(f"branch {k} has a vanishing derivative")
-        ys = br.forward(xs)
         if np.max(np.abs(br.inverse(ys) - xs)) > 1e-12:
             raise MapValidationError(f"branch {k} inverse does not invert forward")
         delta = min(1e-6, h / 8)  # keeps central-difference truncation below 1e-6
@@ -351,14 +332,14 @@ def validate_map(m: PiecewiseMap, samples_per_branch: int = 64,
                 f"branch {k} derivative disagrees with finite difference (rel {rel:.2e})")
 
 
-def uniform_certificate(m: PiecewiseMap, samples: int = 1024, tol: float = 1e-9) -> bool:
+def uniform_certificate(m: PiecewiseMap) -> bool:
     """True when sum over preimages of 1/|M'(u)| equals 1 for all sampled y.
 
     This certifies that Lebesgue measure is invariant, in which case exact
     interval lengths can replace numeric densities everywhere.
     """
-    y = (np.arange(samples) + 0.5) / samples
-    total = np.zeros(samples)
+    y = (np.arange(CERTIFICATE_SAMPLES) + 0.5) / CERTIFICATE_SAMPLES
+    total = np.zeros(CERTIFICATE_SAMPLES)
     for br in m.branches:
         lo, hi = br.image
         mask = (y > lo) & (y < hi)
@@ -366,7 +347,7 @@ def uniform_certificate(m: PiecewiseMap, samples: int = 1024, tol: float = 1e-9)
             continue
         u = np.clip(br.inverse(y[mask]), br.a, br.b)
         total[mask] += 1.0 / np.abs(br.derivative(u))
-    return bool(np.max(np.abs(total - 1.0)) <= tol)
+    return bool(np.max(np.abs(total - 1.0)) <= CERTIFICATE_TOL)
 
 
 # ---------------------------------------------------------------------------

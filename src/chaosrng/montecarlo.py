@@ -14,16 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import steady_state_for, uniform_density
+from .density import invariant_density
 from .entropy import entropy_rate
 from .errors import (MapValidationError, MonteCarloError, NonConvergenceError,
                      PerturbationError)
-from .maps import (BitGen, Branch, PiecewiseMap, uniform_certificate,
-                   validate_map)
+from .maps import BitGen, Branch, PiecewiseMap, validate_map
 
 logger = logging.getLogger(__name__)
 
 _MIN_BREAK_GAP = 1e-6
+#: mc_profile raises MonteCarloError when more than this share of trials fails
+MAX_FAILURE_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
@@ -171,26 +172,22 @@ class MCProfile:
 
 
 def mc_profile(m: PiecewiseMap, gen: BitGen, spec: PerturbationSpec,
-               n_entropy: int = 10, n_bins: int = 4096,
-               max_failure_fraction: float = 0.10) -> MCProfile:
+               n_entropy: int = 10, n_bins: int = 4096) -> MCProfile:
     """Entropy-rate profile over ``spec.trials`` jittered copies of ``m``."""
     rates = np.full(spec.trials, np.nan)
     for trial in range(spec.trials):
         try:
             pm = perturb(m, spec, trial)
-            if uniform_certificate(pm):
-                dens = uniform_density(n_bins)
-            else:
-                dens = steady_state_for(pm, n_bins)
-            report = entropy_rate(pm, gen, density=dens, n_max=n_entropy)
+            report = entropy_rate(pm, gen, density=invariant_density(pm, n_bins),
+                                  n_max=n_entropy)
             rates[trial] = report.entropy_rate
         except (PerturbationError, NonConvergenceError) as exc:
             logger.info("monte carlo trial %d failed: %s", trial, exc)
     failures = int(np.isnan(rates).sum())
-    if failures > max_failure_fraction * spec.trials:
+    if failures > MAX_FAILURE_FRACTION * spec.trials:
         raise MonteCarloError(
             f"{failures}/{spec.trials} trials failed "
-            f"(> {max_failure_fraction:.0%}); check the perturbation spec")
+            f"(> {MAX_FAILURE_FRACTION:.0%}); check the perturbation spec")
     completed = rates[~np.isnan(rates)]
     counts, edges = np.histogram(completed, bins=20)
     return MCProfile(rates_by_trial=rates, hist_edges=edges, hist_counts=counts)

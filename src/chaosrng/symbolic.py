@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityGrid, steady_state_for, uniform_density
+from .density import DensityGrid, invariant_density
 from .errors import ConfigError, ResourceLimitError
-from .maps import BitGen, PiecewiseMap, uniform_certificate
+from .maps import BitGen, PiecewiseMap
 
 logger = logging.getLogger(__name__)
 
@@ -99,22 +99,27 @@ def s1(gen: BitGen) -> tuple[IntervalSet, IntervalSet]:
             IntervalSet(np.array([t]), np.array([1.0])))
 
 
-def preimage_set(m: PiecewiseMap, s: IntervalSet) -> IntervalSet:
-    """Union over branches of the branch-inverse images of s."""
-    parts_a, parts_b = [], []
+def _pullbacks(m: PiecewiseMap, lefts: np.ndarray, rights: np.ndarray):
+    """Per branch meeting intervals (lefts_i, rights_i): (mask of those
+    intervals, (xa, xb) endpoints of their preimage intervals)."""
     for br in m.branches:
         lo, hi = br.image
-        a = np.maximum(s.lefts, lo)
-        b = np.minimum(s.rights, hi)
+        a = np.maximum(lefts, lo)
+        b = np.minimum(rights, hi)
         keep = b - a > 0
         if not keep.any():
             continue
-        xa, xb = br.pullback_intervals(a[keep], b[keep])
-        parts_a.append(xa)
-        parts_b.append(xb)
-    if not parts_a:
+        xa, xb = br.pullback(a[keep]), br.pullback(b[keep])
+        yield keep, ((xa, xb) if br.increasing else (xb, xa))
+
+
+def preimage_set(m: PiecewiseMap, s: IntervalSet) -> IntervalSet:
+    """Union over branches of the branch-inverse images of s."""
+    parts = [x for _, x in _pullbacks(m, s.lefts, s.rights)]
+    if not parts:
         return IntervalSet.empty()
-    return IntervalSet(np.concatenate(parts_a), np.concatenate(parts_b))
+    xa, xb = zip(*parts)
+    return IntervalSet(np.concatenate(xa), np.concatenate(xb))
 
 
 @dataclass(eq=False)
@@ -132,7 +137,6 @@ class SequenceTable:
     depth: int
     threshold: float
     map_label: str = "custom"
-    uniform_measure: bool = False
     levels: dict = field(default_factory=dict, repr=False)
 
     def probs(self, n: int) -> np.ndarray:
@@ -212,49 +216,25 @@ def refine(m: PiecewiseMap, gen: BitGen, n: int,
            density: DensityGrid | None = None) -> SequenceTable:
     """Build the full word table up to length ``n``.
 
-    Probabilities integrate the steady-state density over each word's set.
-    When ``density`` is omitted: maps certified measure-preserving use exact
-    interval lengths; otherwise the default steady state is computed here.
+    Probabilities integrate ``density`` over each word's set; it defaults to
+    ``invariant_density(m)``.
     """
     if not (1 <= n <= MAX_DEPTH):
         raise ResourceLimitError(f"depth {n} outside 1..{MAX_DEPTH}")
-    uniform = False
     if density is None:
-        if uniform_certificate(m):
-            uniform = True
-        else:
-            logger.debug("refine(%s): computing default steady state", m.label)
-            density = steady_state_for(m)
-
-    if uniform:
-        def measure(lo, hi):
-            return hi - lo
-    else:
-        cum = density.cumulative()
-        edges = density.edges
-
-        def measure(lo, hi):
-            return np.interp(hi, edges, cum) - np.interp(lo, edges, cum)
+        density = invariant_density(m)
 
     t = gen.threshold
-    table = SequenceTable(depth=n, threshold=t, map_label=m.label,
-                          uniform_measure=uniform)
+    table = SequenceTable(depth=n, threshold=t, map_label=m.label)
 
     lefts = np.array([0.0, t])
     rights = np.array([t, 1.0])
     words = np.array([0, 1], dtype=np.int64)
-    _store_level(table, 1, lefts, rights, words, measure)
+    _store_level(table, 1, lefts, rights, words, density)
 
     for level in range(2, n + 1):
         acc_l, acc_r, acc_w = [], [], []
-        for br in m.branches:
-            lo, hi = br.image
-            a = np.maximum(lefts, lo)
-            b = np.minimum(rights, hi)
-            keep = b - a > 0
-            if not keep.any():
-                continue
-            xa, xb = br.pullback_intervals(a[keep], b[keep])
+        for keep, (xa, xb) in _pullbacks(m, lefts, rights):
             w = words[keep]
             # split against S_1(0) = (0,t) and S_1(1) = (t,1); prefix bit is MSB
             for z1, (slo, shi) in enumerate(((0.0, t), (t, 1.0))):
@@ -274,14 +254,15 @@ def refine(m: PiecewiseMap, gen: BitGen, n: int,
             raise ResourceLimitError(
                 f"level {level} produced {lefts.size} intervals (cap {MAX_INTERVALS})")
         logger.debug("refine(%s): level %d holds %d intervals", m.label, level, lefts.size)
-        _store_level(table, level, lefts, rights, words, measure)
+        _store_level(table, level, lefts, rights, words, density)
     return table
 
 
-def _store_level(table: SequenceTable, n: int, lefts, rights, words, measure) -> None:
+def _store_level(table: SequenceTable, n: int, lefts, rights, words,
+                 density: DensityGrid) -> None:
     size = 2 ** n
     probs = np.zeros(size)
-    np.add.at(probs, words, measure(lefts, rights))
+    np.add.at(probs, words, density.integrate_pairs(lefts, rights))
     order = np.lexsort((lefts, words))
     sl, sr, sw = lefts[order], rights[order], words[order]
     starts = np.zeros(size + 1, dtype=np.int64)

@@ -9,6 +9,11 @@ BUILTINS = ("bernoulli", "tent", "example", "dec-bernoulli", "tailed-tent", "zig
 #: maps whose invariant density is certified uniform
 CERTIFIED = ("bernoulli", "tent", "tailed-tent", "zigzag")
 
+#: log2 of a negative argument on the whole left branch: every value is NaN
+NANLOG = {"label": "nanlog", "branches": [
+    {"kind": "log2-affine", "domain": [0, 0.5], "scale": 1, "shift": -2, "offset": 0},
+    {"kind": "affine", "domain": [0.5, 1.0], "slope": 2, "intercept": -1}]}
+
 
 @pytest.fixture(scope="session")
 def pairs():

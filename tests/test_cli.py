@@ -6,6 +6,8 @@ import pytest
 
 from chaosrng.cli import main
 
+from conftest import NANLOG
+
 
 def run(tmp_path, *argv):
     return main([*argv, "--out-dir", str(tmp_path)])
@@ -69,6 +71,13 @@ def test_analyze_with_params(tmp_path):
     assert rep["lyapunov"] == pytest.approx(math.log(1.8), abs=1e-9)
 
 
+def test_analyze_certified_map_writes_exact_uniform_density(tmp_path):
+    assert run(tmp_path, "analyze", "--map", "tailed-tent") == 0
+    rows = (tmp_path / "density.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4096
+    assert {row.split(",")[2] for row in rows} == {"1"}
+
+
 # ---------------------------------------------------------------------------
 # error exit codes
 
@@ -97,6 +106,13 @@ def test_exit_code_unknown_flag(tmp_path, capsys):
 
 def test_exit_code_missing_map_file(tmp_path):
     assert run(tmp_path, "analyze", "--map", "missing.json") == 2
+
+
+def test_exit_code_map_with_nan_values(tmp_path, capsys):
+    path = tmp_path / "nanlog.json"
+    path.write_text(json.dumps(NANLOG))
+    assert run(tmp_path, "analyze", "--map", str(path)) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_exit_code_insufficient_data(tmp_path):

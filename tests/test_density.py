@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from chaosrng.density import (DensityGrid, TransferOperator, apply,
-                              steady_state, steady_state_for, ulam_matrix,
-                              uniform_density, _ulam_exact)
+                              invariant_density, steady_state,
+                              steady_state_for, ulam_matrix, uniform_density,
+                              _ulam_exact)
 from chaosrng.errors import ConfigError, NonConvergenceError
 from chaosrng.maps import builtin_pair
 
@@ -127,6 +128,23 @@ def test_steady_state_tailed_tent_uniform_for_any_tail():
         assert f.l1_distance(uniform_density(2048)) <= 1e-8, t
 
 
+def test_invariant_density_certified_maps_skip_the_solver(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called on a certified map")
+
+    monkeypatch.setattr("chaosrng.density.steady_state_for", no_solve)
+    for name in CERTIFIED:
+        m, _ = builtin_pair(name)
+        assert np.array_equal(invariant_density(m).values, np.ones(4096)), name
+        assert np.array_equal(invariant_density(m, 1024).values, np.ones(1024)), name
+
+
+def test_invariant_density_solves_uncertified_maps(densities):
+    for name in ("example", "dec-bernoulli"):
+        m, _ = builtin_pair(name)
+        assert np.array_equal(invariant_density(m).values, densities[name].values), name
+
+
 def test_steady_state_example_map_first_bit_mass(densities):
     p0 = densities["example"].integrate([(0.0, 1.0 / 3.0)])
     assert p0 == pytest.approx(0.14, abs=0.01)
@@ -177,6 +195,23 @@ def test_integrate_trivial_cases():
     f = uniform_density(256)
     assert f.integrate([(0.0, 0.25)]) == pytest.approx(0.25, abs=1e-12)
     assert f.integrate([(0.0, 1.0)]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_integrate_uniform_power_of_two_grid_is_exact_length():
+    # refine relies on this to give certified maps exact interval lengths;
+    # the grid skips np.interp here, so check that interp agrees bit for bit
+    rng = np.random.default_rng(3)
+    lo = rng.random(10_000)
+    hi = np.minimum(lo + rng.random(10_000) * rng.choice([1e-9, 1e-3, 0.5], 10_000), 1.0)
+    lo[:3], hi[:3] = 0.0, 1.0
+    for n in (1024, 4096, 65536):
+        f = uniform_density(n)
+        by_interp = (np.interp(hi, f.edges, f.cumulative())
+                     - np.interp(lo, f.edges, f.cumulative()))
+        assert np.array_equal(by_interp, hi - lo), n
+        assert np.array_equal(f.integrate_pairs(lo, hi), hi - lo), n
+    outside = uniform_density(1024).integrate_pairs(np.array([-0.5, 0.5]), np.array([0.5, 1.5]))
+    assert np.array_equal(outside, [0.5, 0.5])
 
 
 def test_integrate_partial_bin_proration():

@@ -12,7 +12,7 @@ from chaosrng.maps import (BitGen, Branch, PiecewiseMap, builtin, builtin_pair,
                            default_bitgen, from_json, tailed_tent_parameter,
                            uniform_certificate, validate_map)
 
-from conftest import BUILTINS
+from conftest import BUILTINS, NANLOG
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,19 @@ def test_from_json_rejects_malformed():
         from_json({"branches": [
             {"kind": "affine", "domain": [0.0, 1.0], "slope": 1.5, "intercept": 0.0},
         ]})  # image leaves [0,1]
+
+
+def test_from_json_rejects_non_finite_branch():
+    with pytest.raises(MapValidationError, match="non-finite"):
+        from_json(NANLOG)
+
+
+def test_branch_pullback_snaps_saturated_values():
+    inc = Branch("affine", 0.0, 0.5, 2.4, -0.1)  # raw image (-0.1, 1.1)
+    dec = Branch("affine", 0.5, 1.0, -2.4, 2.5)  # raw image (0.1, 1.3)
+    assert inc.pullback(np.array([0.0, 0.5, 1.0])) == pytest.approx([0.0, 0.25, 0.5])
+    assert dec.pullback(np.array([0.0, 0.1, 0.5, 1.0])) == pytest.approx(
+        [1.0, 1.0, 2.0 / 2.4, 0.5])
 
 
 def test_validate_map_catches_bad_derivative():

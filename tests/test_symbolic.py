@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaosrng.density import uniform_density
 from chaosrng.errors import ConfigError, ResourceLimitError
 from chaosrng.maps import BitGen, builtin_pair
 from chaosrng.symbolic import (IntervalSet, SequenceTable, bias, preimage_set,
@@ -116,6 +117,18 @@ def test_refine_base_case_matches_s1(pairs, densities):
         t = refine(m, gen, 1, density=densities[name])
         z0, _ = s1(gen)
         assert t.probs(1)[0] == pytest.approx(densities[name].integrate(z0), abs=1e-12)
+
+
+def test_refine_certified_default_matches_uniform_grids(pairs):
+    # the default measure of a certified map is its exact uniform density,
+    # which integrates to interval lengths at any power-of-two bin count
+    for name in CERTIFIED:
+        m, gen = pairs[name]
+        t = refine(m, gen, 10)
+        for n_bins in (1024, 4096, 65536):
+            u = refine(m, gen, 10, density=uniform_density(n_bins))
+            for n in range(1, 11):
+                assert np.array_equal(t.probs(n), u.probs(n)), (name, n_bins, n)
 
 
 def test_partition_and_consistency_properties(pairs, densities):
