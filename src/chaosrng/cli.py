@@ -21,8 +21,7 @@ from . import __version__
 from .density import invariant_density
 from .entropy import empirical_entropy, entropy_rate
 from .errors import (ChaosRngError, ConfigError, DomainError,
-                     InsufficientDataError, MapValidationError,
-                     MonteCarloError, NonConvergenceError, ResourceLimitError)
+                     InsufficientDataError, ResourceLimitError)
 from .maps import (BUILTIN_NAMES, BitGen, DEFAULT_THRESHOLDS, PiecewiseMap,
                    builtin, from_json)
 from .montecarlo import PerturbationSpec, mc_profile
@@ -63,11 +62,11 @@ def _resolve_map(args) -> tuple[PiecewiseMap, BitGen]:
         except ValueError:
             raise ConfigError(f"--param {name}: {value!r} is not a number") from None
     path = Path(args.map)
-    if path.suffix == ".json" or path.exists():
+    if path.suffix == ".json" or path.is_file():
         if params:
             raise ConfigError("--param applies to builtin maps only")
-        if not path.exists():
-            raise ConfigError(f"map file {path} does not exist")
+        if not path.is_file():
+            raise ConfigError(f"map file {path} is not a file")
         m = from_json(path.read_text())
         threshold = args.threshold if args.threshold is not None else 0.5
     else:
@@ -305,15 +304,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, DomainError, MapValidationError, ResourceLimitError) as exc:
+    except (ConfigError, DomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InsufficientDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (NonConvergenceError, MonteCarloError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ChaosRngError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -41,8 +41,9 @@ class InsufficientDataError(ChaosRngError, ValueError):
         self.required = required
 
 
-class PerturbationError(ChaosRngError, ValueError):
-    """A perturbed map failed re-validation (trial is marked failed, not fatal)."""
+class PerturbationError(ConfigError):
+    """Invalid jitter spec, or a perturbed map that failed re-validation
+    (mc_profile marks such a trial failed, not fatal)."""
 
 
 class MonteCarloError(ChaosRngError, RuntimeError):

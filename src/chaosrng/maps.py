@@ -147,6 +147,8 @@ class PiecewiseMap:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.branches:
+            raise MapValidationError("map has no branches")
         breaks = np.array([br.a for br in self.branches] + [self.branches[-1].b])
         object.__setattr__(self, "_breaks", breaks)
         kinds = np.array([_KIND_CODES[br.kind] for br in self.branches], dtype=np.int8)
@@ -299,8 +301,6 @@ def validate_map(m: PiecewiseMap, samples_per_branch: int = 64) -> None:
     inconsistent with a central finite difference.
     """
     brs = m.branches
-    if not brs:
-        raise MapValidationError("map has no branches")
     if abs(brs[0].a) > 1e-12 or abs(brs[-1].b - 1.0) > 1e-12:
         raise MapValidationError("branch domains do not cover [0,1]")
     for left, right in zip(brs[:-1], brs[1:]):
@@ -465,8 +465,8 @@ def from_json(text: str | dict) -> PiecewiseMap:
     "slope": s, "intercept": c} | {"kind": "log2-affine", "domain": [a,b],
     "scale": p, "shift": q, "offset": k}]}
     """
-    obj = json.loads(text) if isinstance(text, str) else text
     try:
+        obj = json.loads(text) if isinstance(text, str) else text
         branches = []
         for spec in obj["branches"]:
             a, b = (float(v) for v in spec["domain"])

@@ -4,7 +4,8 @@ For a map M and threshold bit function, the set of starting points that emit
 a given word w = z_1..z_n is a finite union of open intervals, built by the
 recursion  S_n(z_1..z_n) = S_1(z_1) gets intersected with M^{-1}(S_{n-1}(z_2..z_n)).
 All 2^n words at each level are refined together on flat endpoint arrays, so
-one level costs a handful of vectorized passes per branch.
+one level costs a handful of vectorized passes per branch. Each level is kept
+as those arrays, in refinement order, with each interval's word index beside it.
 
 Word indexing: the integer index of z_1..z_n has z_1 as the most significant
 bit, so the two one-symbol extensions of word v are indices 2v and 2v+1.
@@ -125,9 +126,9 @@ def preimage_set(m: PiecewiseMap, s: IntervalSet) -> IntervalSet:
 @dataclass(eq=False)
 class _Level:
     probs: np.ndarray        # 2^n word probabilities
-    lefts: np.ndarray        # interval endpoints sorted by (word, left)
+    lefts: np.ndarray        # interval endpoints, in refinement order
     rights: np.ndarray
-    starts: np.ndarray       # CSR offsets into lefts/rights, length 2^n + 1
+    words: np.ndarray        # word index of each interval
 
 
 @dataclass(eq=False)
@@ -150,10 +151,10 @@ class SequenceTable:
     def interval_set(self, word: str) -> IntervalSet:
         n, idx = _parse_word(word)
         lv = self._level(n)
-        if lv.starts.size == 0:
+        if lv.words.size == 0:
             raise ConfigError("this table does not carry interval sets")
-        sl = slice(lv.starts[idx], lv.starts[idx + 1])
-        return IntervalSet(lv.lefts[sl], lv.rights[sl])
+        sel = lv.words == idx
+        return IntervalSet(lv.lefts[sel], lv.rights[sel])
 
     def interval_count(self, n: int) -> int:
         return int(self._level(n).lefts.size)
@@ -177,7 +178,7 @@ class SequenceTable:
         lines = ["word,interval_count,probability"]
         for n in range(1, self.depth + 1):
             lv = self._level(n)
-            counts = np.diff(lv.starts) if lv.starts.size else np.zeros(2 ** n, int)
+            counts = np.bincount(lv.words, minlength=2 ** n)
             for idx in range(2 ** n):
                 lines.append(f"{_format_word(idx, n)},{int(counts[idx])},{lv.probs[idx]:.12g}")
         return "\n".join(lines) + "\n"
@@ -260,14 +261,8 @@ def refine(m: PiecewiseMap, gen: BitGen, n: int,
 
 def _store_level(table: SequenceTable, n: int, lefts, rights, words,
                  density: DensityGrid) -> None:
-    size = 2 ** n
-    probs = np.zeros(size)
-    np.add.at(probs, words, density.integrate_pairs(lefts, rights))
-    order = np.lexsort((lefts, words))
-    sl, sr, sw = lefts[order], rights[order], words[order]
-    starts = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sw, minlength=size), out=starts[1:])
-    table.levels[n] = _Level(probs, sl, sr, starts)
+    probs = np.bincount(words, density.integrate_pairs(lefts, rights), minlength=2 ** n)
+    table.levels[n] = _Level(probs, lefts, rights, words)
 
 
 def bias(table: SequenceTable) -> float:

@@ -115,6 +115,36 @@ def test_exit_code_map_with_nan_values(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_code_map_file_invalid_json(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"branches": [')
+    assert run(tmp_path, "analyze", "--map", str(path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_map_file_without_branches(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"branches": []}')
+    assert run(tmp_path, "analyze", "--map", str(path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_directory_named_like_builtin_does_not_shadow_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tent").mkdir()
+    (tmp_path / "dir.json").mkdir()
+    assert run(tmp_path / "out", "analyze", "--map", "tent", "--depth", "4") == 0
+    assert run(tmp_path / "out", "analyze", "--map", "dir.json") == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_bad_montecarlo_spec(tmp_path, capsys):
+    assert run(tmp_path, "montecarlo", "--map", "zigzag", "--trials", "0") == 2
+    assert "error:" in capsys.readouterr().err
+    assert run(tmp_path, "montecarlo", "--map", "zigzag", "--sigma", "-1") == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_exit_code_insufficient_data(tmp_path):
     from chaosrng.postproc import BitStream, write_stream
     write_stream(tmp_path / "tiny.bin", BitStream(np.ones(100, dtype=np.uint8)))

@@ -144,6 +144,27 @@ def test_partition_and_consistency_properties(pairs, densities):
         assert t.kolmogorov_defect() <= 1e-9, name
 
 
+def test_word_table_contract_on_fragmenting_map(pairs):
+    # tailed-tent splits words into many intervals; certified uniform, so each
+    # probability is the total length of the word's interval set
+    m, gen = pairs["tailed-tent"]
+    t = refine(m, gen, 8)
+    rows = [line.split(",") for line in t.to_csv().splitlines()[1:]]
+    counts = {word: int(count) for word, count, _ in rows}
+    for n in range(1, 9):
+        total = 0
+        for idx in range(2 ** n):
+            word = format(idx, f"0{n}b")
+            s = t.interval_set(word)
+            assert np.all(s.lefts[1:] >= s.lefts[:-1]), word
+            assert np.all(s.rights[:-1] <= s.lefts[1:]), word
+            assert abs(s.length - t.prob(word)) <= 1e-15, word
+            assert len(s) == counts[word], word
+            total += counts[word]
+        assert total == t.interval_count(n), n
+    assert max(counts.values()) > 1
+
+
 def test_bernoulli_all_words_equiprobable(tables10):
     t = tables10["bernoulli"]
     for n in (4, 8, 10):
@@ -187,6 +208,8 @@ def test_table_from_probs():
     assert t.bias() == pytest.approx(0.5)
     with pytest.raises(ConfigError):
         t.interval_set("0")
+    counts = [line.split(",")[1] for line in t.to_csv().splitlines()[1:]]
+    assert counts == ["0"] * 6
     with pytest.raises(ConfigError):
         SequenceTable.from_probs({2: np.array([1.0, 0.0])})
 
