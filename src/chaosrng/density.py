@@ -103,11 +103,12 @@ class DensityGrid:
         return float(np.abs(self.values - other.values).sum() / self.n_bins)
 
     def to_csv(self) -> str:
-        edges = self.edges
+        edges = [f"{e:.12g}" for e in self.edges.tolist()]
         lines = ["bin_left,bin_right,density"]
-        lines += [f"{edges[i]:.12g},{edges[i + 1]:.12g},{v:.12g}"
-                  for i, v in enumerate(self.values)]
-        return "\n".join(lines) + "\n"
+        lines += map("{},{},{:.12g}".format, edges[:-1], edges[1:], self.values.tolist())
+        del edges  # peak memory: the join below copies the lines once more
+        lines.append("")
+        return "\n".join(lines)
 
 
 def uniform_density(n_bins: int = DEFAULT_BINS) -> DensityGrid:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityGrid, invariant_density
-from .errors import InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 from .maps import BitGen, PiecewiseMap
 from .symbolic import SequenceTable, refine
 
@@ -89,7 +89,7 @@ def entropy_rate(m: PiecewiseMap, gen: BitGen, density: DensityGrid | None = Non
     bias, and the Lyapunov exponent (nats).
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ConfigError("n_max must be >= 1")
     if density is None:
         density = invariant_density(m)
     if table is None:

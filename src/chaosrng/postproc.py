@@ -54,6 +54,8 @@ def generate_bits(m: PiecewiseMap, gen: BitGen, density: DensityGrid,
     """Stream of ``count`` bits: x_0 is drawn from ``density``, z_n = gen(x_{n-1})."""
     if count < 0:
         raise ConfigError("count must be >= 0")
+    if not dither >= 0:
+        raise ConfigError(f"dither must be >= 0, got {dither}")
     origin = {"map": m.label, "params": dict(m.params), "seed": seed,
               "count": count, "threshold": gen.threshold, "dither": dither,
               "backend": kernels.BACKEND}
@@ -226,14 +228,17 @@ def write_stream(path, stream: BitStream, fmt: str | None = None) -> None:
 def read_stream(path, fmt: str | None = None) -> BitStream:
     path = Path(path)
     fmt = fmt or ("txt" if path.suffix == ".txt" else "bin")
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     if fmt == "txt":
-        text = path.read_text().strip()
+        text = raw.decode("ascii", errors="replace").strip()
         if text and set(text) - {"0", "1"}:
             raise ConfigError(f"{path} is not an ASCII 0/1 stream")
         bits = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
         return BitStream(bits.copy(), {"path": str(path)})
     if fmt == "bin":
-        raw = path.read_bytes()
         if len(raw) < _HEADER.size:
             raise ConfigError(f"{path} is too short to be a stream file")
         (count,) = _HEADER.unpack_from(raw)

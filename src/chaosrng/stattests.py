@@ -113,6 +113,8 @@ ALL_TESTS = ("monobit", "runs", "serial", "approx-entropy")
 
 def battery(bits, tests=ALL_TESTS, alpha: float = DEFAULT_ALPHA, m: int = 2):
     """Run the named tests and return their TestResults in order."""
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
     out = []
     for name in tests:
         if name == "monobit":

@@ -71,6 +71,15 @@ def test_analyze_with_params(tmp_path):
     assert rep["lyapunov"] == pytest.approx(math.log(1.8), abs=1e-9)
 
 
+def test_analyze_tailed_tent_depth16(tmp_path):
+    # the forward path keeps a few hundred states where backward refinement
+    # needs over 20M intervals at this depth
+    assert run(tmp_path, "analyze", "--map", "tailed-tent", "--depth", "16") == 0
+    lines = (tmp_path / "sequence_table.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 ** 17 - 2
+    assert sum(int(line.split(",")[1]) for line in lines if len(line.split(",")[0]) == 16) < 2 ** 16
+
+
 def test_analyze_certified_map_writes_exact_uniform_density(tmp_path):
     assert run(tmp_path, "analyze", "--map", "tailed-tent") == 0
     rows = (tmp_path / "density.csv").read_text().splitlines()[1:]
@@ -143,6 +152,35 @@ def test_exit_code_bad_montecarlo_spec(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert run(tmp_path, "montecarlo", "--map", "zigzag", "--sigma", "-1") == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_missing_input_stream(tmp_path, capsys):
+    missing = str(tmp_path / "missing.bin")
+    assert run(tmp_path, "postprocess", "--algo", "von-neumann", "--input", missing) == 2
+    assert "error:" in capsys.readouterr().err
+    assert run(tmp_path, "test", "--input", missing) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_montecarlo_depth_zero(tmp_path, capsys):
+    assert run(tmp_path, "montecarlo", "--map", "zigzag", "--trials", "5",
+               "--depth", "0") == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_alpha_outside_unit_interval(tmp_path, capsys):
+    run(tmp_path, "generate", "--map", "bernoulli", "--count", "50000")
+    for alpha in ("2", "0", "1"):
+        assert run(tmp_path, "test", "--input", str(tmp_path / "stream.bin"),
+                   "--alpha", alpha) == 2, alpha
+        assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_negative_dither(tmp_path, capsys):
+    assert run(tmp_path, "generate", "--map", "zigzag", "--count", "1000",
+               "--dither", "-1") == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "stream.bin").exists()
 
 
 def test_exit_code_insufficient_data(tmp_path):

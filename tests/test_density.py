@@ -304,3 +304,13 @@ def test_density_csv_layout(densities):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[2]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_density_csv_matches_row_by_row_formatting(densities):
+    for name in ("example", "bernoulli"):
+        f = densities[name]
+        edges = f.edges
+        lines = ["bin_left,bin_right,density"]
+        lines += [f"{edges[i]:.12g},{edges[i + 1]:.12g},{v:.12g}"
+                  for i, v in enumerate(f.values)]
+        assert f.to_csv() == "\n".join(lines) + "\n", name

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,56 @@ from chaosrng.symbolic import (IntervalSet, SequenceTable, bias, preimage_set,
                                refine, s1, word_frequencies)
 
 from conftest import BUILTINS, CERTIFIED
+
+
+def cylinder_levels(m, gen, n):
+    """Backward oracle: per level, the interval set of every word, by index.
+
+    S(z_1..z_n) = S_1(z_1) intersected with M^{-1}(S(z_2..z_n)), one set at a
+    time through ``s1`` and ``preimage_set``; slivers below MIN_INTERVAL drop.
+    """
+    z = s1(gen)
+    sets = list(z)
+    yield sets
+    for level in range(2, n + 1):
+        nxt = [None] * 2 ** level
+        for v, s in enumerate(sets):
+            pre = preimage_set(m, s)
+            for z1, zs in enumerate(z):
+                nxt[(z1 << (level - 1)) + v] = pre.intersect_interval(zs.lefts[0], zs.rights[0])
+        sets = nxt
+        yield sets
+
+
+def exact_forward_probs(m, gen, n):
+    """Exact rational word probabilities under Lebesgue measure, per level.
+
+    Forward states (word, image, rho) of a piecewise-affine map, in Fractions
+    of the float parameters, so the only rounding is the final float().
+    """
+    t = Fraction(gen.threshold)
+    brs = [(Fraction(br.a), Fraction(br.b), Fraction(br.p0), Fraction(br.p1))
+           for br in m.branches]
+    states = {(0, Fraction(0), t): Fraction(1), (1, t, Fraction(1)): Fraction(1)}
+    for level in range(1, n + 1):
+        if level > 1:
+            nxt = {}
+            for (w, lo, hi), rho in states.items():
+                for a, b, slope, icpt in brs:
+                    xa, xb = max(lo, a), min(hi, b)
+                    if xb <= xa:
+                        continue
+                    ya, yb = sorted((slope * xa + icpt, slope * xb + icpt))
+                    ya, yb = max(ya, Fraction(0)), min(yb, Fraction(1))
+                    for bit, (l, h) in enumerate(((ya, min(yb, t)), (max(ya, t), yb))):
+                        if h > l:
+                            key = (2 * w + bit, l, h)
+                            nxt[key] = nxt.get(key, 0) + rho / abs(slope)
+            states = nxt
+        p = [Fraction(0)] * 2 ** level
+        for (w, lo, hi), rho in states.items():
+            p[w] += rho * (hi - lo)
+        yield np.array([float(x) for x in p])
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +145,16 @@ def test_preimage_preserves_measure_for_certified_maps(raw):
 # ---------------------------------------------------------------------------
 # refinement
 
-def test_refine_bernoulli_depth2_exact(tables10):
+def test_refine_bernoulli_depth2_exact(pairs, tables10):
+    m, gen = pairs["bernoulli"]
+    sets = list(cylinder_levels(m, gen, 2))[1]
+    assert list(sets[0b00]) == pytest.approx([(0.0, 0.25)])
+    assert list(sets[0b01]) == pytest.approx([(0.25, 0.5)])
+    assert list(sets[0b10]) == pytest.approx([(0.5, 0.75)])
+    assert list(sets[0b11]) == pytest.approx([(0.75, 1.0)])
     t = tables10["bernoulli"]
-    assert list(t.interval_set("00")) == pytest.approx([(0.0, 0.25)])
-    assert list(t.interval_set("01")) == pytest.approx([(0.25, 0.5)])
-    assert list(t.interval_set("10")) == pytest.approx([(0.5, 0.75)])
-    assert list(t.interval_set("11")) == pytest.approx([(0.75, 1.0)])
     assert t.probs(2) == pytest.approx([0.25] * 4, abs=1e-15)
+    assert list(t.probs(2)) == [c.length for c in sets]
 
 
 def test_refine_example_first_bit(tables10):
@@ -144,25 +199,83 @@ def test_partition_and_consistency_properties(pairs, densities):
         assert t.kolmogorov_defect() <= 1e-9, name
 
 
+def _csv_counts(table):
+    rows = [line.split(",") for line in table.to_csv().splitlines()[1:]]
+    return {word: int(count) for word, count, _ in rows}
+
+
 def test_word_table_contract_on_fragmenting_map(pairs):
     # tailed-tent splits words into many intervals; certified uniform, so each
-    # probability is the total length of the word's interval set
+    # probability is the total length of the word's oracle interval set
     m, gen = pairs["tailed-tent"]
     t = refine(m, gen, 8)
-    rows = [line.split(",") for line in t.to_csv().splitlines()[1:]]
-    counts = {word: int(count) for word, count, _ in rows}
-    for n in range(1, 9):
+    counts = _csv_counts(t)
+    for n, sets in enumerate(cylinder_levels(m, gen, 8), start=1):
         total = 0
-        for idx in range(2 ** n):
+        for idx, s in enumerate(sets):
             word = format(idx, f"0{n}b")
-            s = t.interval_set(word)
             assert np.all(s.lefts[1:] >= s.lefts[:-1]), word
             assert np.all(s.rights[:-1] <= s.lefts[1:]), word
             assert abs(s.length - t.prob(word)) <= 1e-15, word
-            assert len(s) == counts[word], word
+            assert (counts[word] > 0) == (t.prob(word) > 0) == (len(s) > 0), word
             total += counts[word]
         assert total == t.interval_count(n), n
     assert max(counts.values()) > 1
+
+
+def test_backward_counts_are_oracle_intervals(pairs, densities):
+    # a solved (not exactly flat) density keeps the backward path, whose
+    # per-word count is the size of the word's cylinder interval set
+    m, gen = pairs["tailed-tent"]
+    assert not (densities["tailed-tent"].values == 1.0).all()
+    t = refine(m, gen, 8, density=densities["tailed-tent"])
+    counts = _csv_counts(t)
+    for n, sets in enumerate(cylinder_levels(m, gen, 8), start=1):
+        for idx, s in enumerate(sets):
+            assert len(s) == counts[format(idx, f"0{n}b")]
+        assert sum(len(s) for s in sets) == t.interval_count(n)
+        assert t.partition_length(n) == pytest.approx(sum(s.length for s in sets), abs=1e-15)
+
+
+def test_forward_refine_matches_backward_oracle(pairs):
+    # the oracle drops slivers; at depth 12 it loses 2.3e-11 of mass
+    m, gen = pairs["tailed-tent"]
+    t = refine(m, gen, 12)
+    levels = list(cylinder_levels(m, gen, 12))
+    loss = 1.0 - sum(s.length for s in levels[-1])
+    assert 0.0 < loss < 1e-10
+    for n, sets in enumerate(levels, start=1):
+        lengths = np.array([s.length for s in sets])
+        assert np.max(np.abs(t.probs(n) - lengths)) <= loss + 1e-15, n
+        assert np.array_equal(t.probs(n) > 0, lengths > 0), n
+
+
+def test_forward_refine_matches_exact_rationals(pairs):
+    for m, gen in (pairs["tailed-tent"], builtin_pair("tailed-tent", tail=0.95)):
+        t = refine(m, gen, 14)
+        for n, exact in enumerate(exact_forward_probs(m, gen, 14), start=1):
+            assert np.max(np.abs(t.probs(n) - exact)) <= 1e-15, (m.params, n)
+
+
+def test_forward_refine_tailed_tent_depth20(pairs):
+    m, gen = pairs["tailed-tent"]
+    t = refine(m, gen, 20)
+    assert t.kolmogorov_defect() <= 1e-12
+    for n in range(1, 21):
+        assert abs(t.partition_length(n) - 1.0) <= 1e-12, n
+        assert abs(t.probs(n).sum() - 1.0) <= 1e-12, n
+    # states follow the positive-probability words, not 3^n
+    assert t.interval_count(20) <= 2 * np.count_nonzero(t.probs(20))
+
+
+def test_forward_refine_slope2_maps_exact():
+    for name in ("bernoulli", "tent", "zigzag"):
+        m, gen = builtin_pair(name)
+        t = refine(m, gen, 14)
+        for n in range(1, 15):
+            assert np.all(t.probs(n) == 2.0 ** -n), (name, n)
+            assert t.interval_count(n) == 2 ** n, (name, n)
+            assert t.partition_length(n) == 1.0, (name, n)
 
 
 def test_bernoulli_all_words_equiprobable(tables10):
@@ -206,12 +319,25 @@ def test_table_from_probs():
                                   2: np.array([1.0, 0.0, 0.0, 0.0])})
     assert t.prob("0") == 1.0 and t.prob("11") == 0.0
     assert t.bias() == pytest.approx(0.5)
-    with pytest.raises(ConfigError):
-        t.interval_set("0")
+    assert t.interval_count(2) == 0 and t.partition_length(2) == 0.0
     counts = [line.split(",")[1] for line in t.to_csv().splitlines()[1:]]
     assert counts == ["0"] * 6
     with pytest.raises(ConfigError):
         SequenceTable.from_probs({2: np.array([1.0, 0.0])})
+
+
+def test_table_csv_matches_row_by_row_formatting(pairs, densities):
+    tables = [refine(*pairs["tailed-tent"], 12),
+              refine(*pairs["dec-bernoulli"], 8, density=densities["dec-bernoulli"]),
+              SequenceTable.from_probs({1: np.array([1.0, -0.0]),
+                                        2: np.array([0.5, 0.0, 0.5, 0.0])})]
+    for t in tables:
+        lines = ["word,interval_count,probability"]
+        for n in range(1, t.depth + 1):
+            lv = t.levels[n]
+            lines += [f"{idx:0{n}b},{lv.counts[idx]},{lv.probs[idx]:.12g}"
+                      for idx in range(2 ** n)]
+        assert t.to_csv() == "\n".join(lines) + "\n", t.map_label
 
 
 def test_table_csv_layout(tables10):
