@@ -10,7 +10,7 @@ compiled extension or the pure-Python fallback is active.
 
 __version__ = "0.1.0"
 
-from .density import (DensityGrid, TransferOperator, apply, invariant_density,
+from .density import (DensityGrid, TransferOperator, invariant_density,
                       steady_state, steady_state_for, ulam_matrix,
                       uniform_density)
 from .entropy import (EntropyReport, block_entropy, conditional_entropy,
@@ -32,7 +32,7 @@ __all__ = [
     "BitGen", "Branch", "PiecewiseMap", "Preimage", "builtin", "builtin_pair",
     "default_bitgen", "from_json", "tailed_tent_parameter",
     "uniform_certificate", "validate_map",
-    "DensityGrid", "TransferOperator", "apply", "invariant_density",
+    "DensityGrid", "TransferOperator", "invariant_density",
     "steady_state", "steady_state_for", "ulam_matrix", "uniform_density",
     "IntervalSet", "SequenceTable", "bias", "preimage_set", "refine", "s1",
     "EntropyReport", "block_entropy", "conditional_entropy",

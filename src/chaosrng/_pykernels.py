@@ -1,10 +1,13 @@
-"""Pure-Python trajectory kernels: the fallback backend.
+"""Pure-Python kernels: the fallback backend.
 
 This is the reference spec: the C extension _fastkernels.c mirrors it
 statement for statement so that both backends produce bit-identical streams
-for the same inputs. Keep the arithmetic in sync when editing either file.
+and matrix-vector products for the same inputs. Keep the arithmetic in sync
+when editing either file.
 """
 import math
+
+import numpy as np
 
 NUDGE = 1e-12
 EDGE = 1e-15
@@ -71,3 +74,14 @@ def trajectory(kinds, bounds, p0, p1, p2, x0, noise, out):
         x = _advance(x, kinds, bounds, p0, p1, p2, nb, noise[i])
         out[i] = x
     return x
+
+
+def csr_matvec(indptr, indices, data, x, out):
+    """Fill ``out`` with A @ x for the square CSR matrix A, each row summed in
+    stored order."""
+    n = len(out)
+    if len(indptr) != n + 1 or len(x) != n:
+        raise ValueError("indptr, x and out must have n + 1, n and n entries")
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    # bincount adds its weights in input order, starting from 0.0 as the C loop does
+    out[:] = np.bincount(rows, data * x[indices], minlength=n)

@@ -15,17 +15,15 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .density import invariant_density
-from .entropy import empirical_entropy, entropy_rate
+from .entropy import entropy_rate
 from .errors import (ChaosRngError, ConfigError, DomainError,
                      InsufficientDataError, ResourceLimitError)
 from .maps import (BUILTIN_NAMES, BitGen, DEFAULT_THRESHOLDS, PiecewiseMap,
                    builtin, from_json)
 from .montecarlo import PerturbationSpec, mc_profile
-from .postproc import (BitStream, DEFAULT_DITHER, build_typical_coder,
+from .postproc import (DEFAULT_DITHER, build_typical_coder,
                        check_rate_bound, encode, generate_bits, read_stream,
                        von_neumann, vn_rate_exact, write_stream)
 from .stattests import ALL_TESTS, battery

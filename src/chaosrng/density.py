@@ -1,17 +1,26 @@
 """Transfer-operator discretization and steady-state densities.
 
 The operator is discretized on a uniform bin grid (piecewise-constant
-densities). Two constructions are available:
+densities): entry (i, j) is the exact Lebesgue measure of bin_j intersected
+with the preimage of bin_i, computed from the closed-form branch inverses and
+divided by the bin width. For maps where Lebesgue measure is invariant this
+makes the uniform vector a fixed point to machine precision, which the
+downstream certificates rely on. Column j holds the distribution of mass
+leaving bin j; columns are rescaled to sum to 1.
 
-* ``method="exact"`` (default): each matrix entry is the exact Lebesgue
-  measure of bin_j intersected with the preimage of bin_i, computed from the
-  closed-form branch inverses. For maps where Lebesgue measure is invariant
-  this makes the uniform vector a fixed point to machine precision, which the
-  downstream certificates rely on.
-* ``method="sample"``: stratified points per bin are pushed through the map
-  and histogrammed. Kept as an independent cross-check of the exact build.
+The matrix is kept in compressed-row (CSR) form as plain arrays: row i holds
+the values ``data[indptr[i]:indptr[i+1]]`` in the columns
+``indices[indptr[i]:indptr[i+1]]``, and ``kernels.csr_matvec`` sums each row
+in that stored order. ``ulam_matrix`` stores one entry per column, each row
+by descending column. That is the order in which earlier versions, built on
+a sparse-matrix library, stored and summed each row, so the solved
+densities, and every file built from them, keep their bits.
 
-Column j holds the distribution of mass leaving bin j (columns sum to 1).
+``steady_state`` runs power iteration from the uniform density. If the L1
+step stops shrinking (a periodic chain, where P has an eigenvalue on or near
+the unit circle besides 1), it continues with the lazy chain
+p <- (Pp + p)/2, which has the same fixed points and maps every such
+eigenvalue other than 1 inside the circle.
 
 ``invariant_density`` is the one place that decides which density the
 analysis uses: the exact uniform density when ``uniform_certificate`` proves
@@ -21,17 +30,24 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
+from . import kernels
 from .errors import ConfigError, NonConvergenceError
 from .maps import PiecewiseMap, uniform_certificate
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_BINS = 4096
-DEFAULT_SAMPLES_PER_BIN = 64
+#: steady_state looks for a stalled power iteration every STALL_CHECK steps; a
+#: stalled L1 step is still above STALL_SHRINK times its value at the last look.
+#: A chain that contracts that slowly (by 0.9998 a step) needs over 100,000
+#: steps to gain nine digits, so the plain iteration would fail anyway; the
+#: lazy chain also converges where the slow mode is periodic (eigenvalue near -1).
+STALL_CHECK = 50
+STALL_SHRINK = 0.99
 
 
 @dataclass(eq=False)
@@ -122,43 +138,61 @@ def _interval_arrays(intervals) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
+class CsrMatrix(NamedTuple):
+    """A square sparse matrix as compressed-row arrays (see the module docstring);
+    ``indptr`` and ``indices`` are int32."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+
 @dataclass(eq=False)
 class TransferOperator:
-    """Column-stochastic sparse matrix acting on bin mass vectors."""
+    """Column-stochastic sparse matrix acting on bin mass vectors; its entries
+    are nonnegative, so it maps mass vectors to mass vectors."""
 
-    matrix: sp.csr_matrix
+    matrix: CsrMatrix
 
     def __post_init__(self):
-        n, m = self.matrix.shape
-        if n != m:
-            raise ConfigError("operator matrix must be square")
-        colsums = np.asarray(self.matrix.sum(axis=0)).ravel()
+        indptr, indices, data = (np.asarray(a) for a in self.matrix)
+        n = indptr.size - 1
+        if (n < 1 or indptr[0] != 0 or indptr[-1] != data.size or indices.size != data.size
+                or (np.diff(indptr) < 0).any()
+                or (indices.size and not 0 <= indices.min() <= indices.max() < n)):
+            raise ConfigError("operator matrix must be a square CSR matrix")
+        if (data < 0).any():
+            raise ConfigError("operator has negative entries")
+        if max(n, data.size) > np.iinfo(np.int32).max:
+            raise ConfigError(f"operator of size {n} with {data.size} entries "
+                              "does not fit int32 indices")
+        # int32 rather than int64 indices: fewer bytes read per product
+        indptr, indices = (np.ascontiguousarray(a, dtype=np.int32) for a in (indptr, indices))
+        data = np.ascontiguousarray(data, dtype=float)
+        colsums = np.bincount(indices, data, minlength=n)
         if np.max(np.abs(colsums - 1.0)) > 1e-9:
             raise ConfigError("operator columns do not sum to 1")
+        self.matrix = CsrMatrix(indptr, indices, data)
 
     @property
     def n_bins(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.indptr.size - 1
 
 
-def ulam_matrix(m: PiecewiseMap, n_bins: int = DEFAULT_BINS,
-                samples_per_bin: int = DEFAULT_SAMPLES_PER_BIN,
-                method: str = "exact") -> TransferOperator:
+def ulam_matrix(m: PiecewiseMap, n_bins: int = DEFAULT_BINS) -> TransferOperator:
     """Discretize the transfer operator of ``m`` on ``n_bins`` uniform bins."""
     if n_bins < 64:
         raise ConfigError("n_bins must be at least 64")
-    if method == "exact":
-        mat = _ulam_exact(m, n_bins)
-    elif method == "sample":
-        if samples_per_bin < 16:
-            raise ConfigError("samples_per_bin must be at least 16")
-        mat = _ulam_sampled(m, n_bins, samples_per_bin)
-    else:
-        raise ConfigError(f"unknown ulam method {method!r}")
-    return TransferOperator(mat)
+    return TransferOperator(_ulam_exact(m, n_bins))
 
 
-def _ulam_exact(m: PiecewiseMap, n: int) -> sp.csr_matrix:
+def _ulam_entries(m: PiecewiseMap, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, values) of the unnormalized operator; a (row, col) pair
+    may repeat where two branches share a bin."""
     edges = np.linspace(0.0, 1.0, n + 1)
     rows_all, cols_all, vals_all = [], [], []
     for br in m.branches:
@@ -183,56 +217,73 @@ def _ulam_exact(m: PiecewiseMap, n: int) -> sp.csr_matrix:
         rows_all.append(rows[keep])
         cols_all.append(cols[keep])
         vals_all.append(lens[keep] * n)  # normalize by bin width 1/n
-    mat = sp.coo_matrix(
-        (np.concatenate(vals_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(n, n)).tocsr()
+    return np.concatenate(rows_all), np.concatenate(cols_all), np.concatenate(vals_all)
+
+
+def _ulam_exact(m: PiecewiseMap, n: int) -> CsrMatrix:
+    rows, cols, vals = _ulam_entries(m, n)
+    # row-major order, each row by descending column, duplicate pairs summed
+    keys = rows * n + (n - 1 - cols)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    vals = np.add.reduceat(vals[order], first)
+    kept = order[first]
+    rows, cols = rows[kept], cols[kept]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     # mass conservation can be off by float rounding; renormalize columns
-    colsums = np.asarray(mat.sum(axis=0)).ravel()
-    scale = sp.diags(1.0 / np.where(colsums > 0, colsums, 1.0))
-    return (mat @ scale).tocsr()
-
-
-def _ulam_sampled(m: PiecewiseMap, n: int, spb: int) -> sp.csr_matrix:
-    offsets = (np.arange(spb) + 0.5) / spb / n
-    cols = np.repeat(np.arange(n), spb)
-    x = cols / n + np.tile(offsets, n)
-    y = m.evaluate_array(x)
-    rows = np.clip((y * n).astype(np.int64), 0, n - 1)
-    mat = sp.coo_matrix((np.full(x.size, 1.0 / spb), (rows, cols)), shape=(n, n))
-    return mat.tocsr()
-
-
-def apply(op: TransferOperator, f: DensityGrid) -> DensityGrid:
-    """One transfer-operator step, renormalized to suppress mass drift."""
-    if op.n_bins != f.n_bins:
-        raise ConfigError(f"operator has {op.n_bins} bins, density {f.n_bins}")
-    mass = op.matrix @ (f.values / f.n_bins)
-    mass /= mass.sum()
-    return DensityGrid(mass * f.n_bins)
+    colsums = np.bincount(cols, vals, minlength=n)
+    scale = 1.0 / np.where(colsums > 0, colsums, 1.0)
+    return CsrMatrix(indptr, cols, vals * scale[cols])
 
 
 def steady_state(op: TransferOperator, tol: float = 1e-10,
                  max_iters: int = 100000) -> DensityGrid:
-    """Power iteration from the uniform density until the L1 step is below tol."""
+    """Power iteration from the uniform density until the L1 step is below tol.
+
+    Every STALL_CHECK steps the iteration checks whether it has stalled: the
+    L1 step is still above STALL_SHRINK times its value at the last check,
+    and the newest step undoes most of the one before (|p_{k+1} - p_{k-1}|
+    below |p_{k+1} - p_k|), so the slow mode oscillates. A slow monotone
+    approach, which the lazy chain would only slow down further, never does
+    that. Once stalled, it runs the lazy chain p <- (Pp + p)/2.
+    """
     if tol <= 0:
         raise ConfigError("tol must be positive")
     n = op.n_bins
-    mat = op.matrix
+    indptr, indices, data = op.matrix
     p = np.full(n, 1.0 / n)
-    diff = np.inf
-    for _ in range(max_iters):
-        q = mat @ p
-        q = np.maximum(q, 0.0)
+    # reused buffers: per-step temporaries of n floats cost about 5% at 65,536 bins
+    q, prev, step = np.empty(n), np.empty(n), np.empty(n)  # prev: the iterate before p
+
+    def l1(a, b):
+        np.subtract(a, b, out=step)
+        return float(np.abs(step, out=step).sum())
+
+    diff = checked = np.inf
+    lazy = False
+    for it in range(max_iters):
+        kernels.csr_matvec(indptr, indices, data, p, q)
+        if lazy:
+            q += p
+            q *= 0.5
         q /= q.sum()
-        diff = float(np.abs(q - p).sum())
-        p = q
+        diff = l1(q, p)
         if diff < tol:
-            residual = float(np.abs(mat @ p - p).sum())
+            kernels.csr_matvec(indptr, indices, data, q, p)
+            residual = l1(p, q)
             if residual >= 10.0 * tol:
                 raise NonConvergenceError(
                     f"fixed-point residual {residual:.3e} exceeds {10 * tol:.1e}",
                     residual=residual)
-            return DensityGrid(p * n)
+            return DensityGrid(q * n)
+        if not lazy and it % STALL_CHECK == 0:
+            if diff > STALL_SHRINK * checked and l1(q, prev) < diff:
+                logger.debug("L1 step stalled at %.3e after %d steps; "
+                             "switching to the lazy chain", diff, it + 1)
+                lazy = True
+            checked = diff
+        p, q, prev = q, prev, p
     raise NonConvergenceError(
         f"power iteration did not converge in {max_iters} steps "
         f"(last L1 step {diff:.3e})", residual=diff)

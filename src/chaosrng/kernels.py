@@ -25,3 +25,4 @@ else:
 
 bits_from_trajectory = _impl.bits_from_trajectory
 trajectory = _impl.trajectory
+csr_matvec = _impl.csr_matvec

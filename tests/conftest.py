@@ -1,18 +1,66 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from chaosrng import (builtin_pair, generate_bits, refine, steady_state_for,
-                      uniform_certificate)
+from chaosrng import (PerturbationSpec, TransferOperator, builtin, builtin_pair,
+                      generate_bits, perturb, refine, steady_state_for,
+                      ulam_matrix, uniform_certificate)
+from chaosrng.density import CsrMatrix
+from chaosrng.errors import PerturbationError
 
 BUILTINS = ("bernoulli", "tent", "example", "dec-bernoulli", "tailed-tent", "zigzag")
 
 #: maps whose invariant density is certified uniform
 CERTIFIED = ("bernoulli", "tent", "tailed-tent", "zigzag")
 
+#: (0, 0.4) maps onto (0.4, 1) and (0.4, 1) folds back onto (0, 0.4): a
+#: period-2 chain whose plain power iteration crawls for 100,000 steps
+SWAP_MAP = {"branches": [
+    {"kind": "affine", "domain": [0, 0.4], "slope": 1.5, "intercept": 0.4},
+    {"kind": "affine", "domain": [0.4, 0.7], "slope": -4 / 3, "intercept": 0.4 + 0.4 * 4 / 3},
+    {"kind": "affine", "domain": [0.7, 1.0], "slope": 4 / 3, "intercept": -0.7 * 4 / 3}]}
+
 #: log2 of a negative argument on the whole left branch: every value is NaN
 NANLOG = {"label": "nanlog", "branches": [
     {"kind": "log2-affine", "domain": [0, 0.5], "scale": 1, "shift": -2, "offset": 0},
     {"kind": "affine", "domain": [0.5, 1.0], "slope": 2, "intercept": -1}]}
+
+
+def to_scipy(op) -> sp.csr_matrix:
+    """An operator (or its CSR arrays) as a scipy matrix with the same layout,
+    so that ``to_scipy(op) @ x`` adds in the order ``kernels.csr_matvec`` does."""
+    indptr, indices, data = getattr(op, "matrix", op)
+    n = len(indptr) - 1
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def from_scipy(mat) -> TransferOperator:
+    """A TransferOperator holding the CSR arrays of a scipy matrix."""
+    mat = sp.csr_matrix(mat)
+    return TransferOperator(CsrMatrix(mat.indptr, mat.indices, mat.data))
+
+
+def perturbed_maps(count: int, seed: int = 7) -> list:
+    """``count`` jittered zigzag, tent, dec-bernoulli and bernoulli maps."""
+    spec = PerturbationSpec(sigma_slope=0.02, sigma_break=0.02, sigma_offset=0.02, seed=seed)
+    out, trial = [], 0
+    while len(out) < count:
+        try:
+            out.append(perturb(builtin(("zigzag", "tent", "dec-bernoulli", "bernoulli")[trial % 4]),
+                               spec, trial))
+        except PerturbationError:
+            pass
+        trial += 1
+    return out
+
+
+@pytest.fixture(scope="session")
+def operator_cases():
+    """(map, operator): the builtins at 4096 and 65,536 bins, and 100 jittered
+    maps at 4096 bins."""
+    cases = [(builtin(name), n) for name in BUILTINS for n in (4096, 65536)]
+    cases += [(m, 4096) for m in perturbed_maps(100)]
+    return [(m, ulam_matrix(m, n)) for m, n in cases]
 
 
 @pytest.fixture(scope="session")

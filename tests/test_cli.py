@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chaosrng.cli import main
 
-from conftest import NANLOG
+from conftest import NANLOG, SWAP_MAP
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(tmp_path, *argv):
@@ -50,6 +56,15 @@ def test_analyze_reproducible_bytes(tmp_path):
     run(tmp_path / "r2", "analyze", "--map", "example", "--depth", "6", "--seed", "9")
     for name in ("density.csv", "sequence_table.csv", "entropy_report.json"):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+
+def test_analyze_period_two_maps_converge(tmp_path):
+    # both exited 3 when the power iteration had no lazy-chain fallback
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(SWAP_MAP))
+    assert run(tmp_path / "swap", "analyze", "--map", str(path), "--depth", "6") == 0
+    assert run(tmp_path / "dec", "analyze", "--map", "dec-bernoulli", "--param", "slope=1.3",
+               "--bins", "65536", "--depth", "6") == 0
 
 
 def test_analyze_custom_json_map(tmp_path):
@@ -282,3 +297,41 @@ def test_test_command_csv_and_subset(tmp_path):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+def _python(code, tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    r = _python("import sys, chaosrng.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))", tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_all_subcommands_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail
+    code = """if True:
+        import sys
+        sys.modules["scipy"] = None
+        from chaosrng.cli import main
+        runs = [
+            ["analyze", "--map", "example", "--depth", "6", "--out-dir", "a"],
+            ["generate", "--map", "example", "--count", "40000", "--out-dir", "g"],
+            ["postprocess", "--algo", "typical-set", "--map", "example", "--n", "10",
+             "--input", "g/stream.bin", "--out-dir", "p"],
+            ["test", "--input", "g/stream.bin", "--out-dir", "t"],
+            ["montecarlo", "--map", "zigzag", "--trials", "5", "--depth", "6",
+             "--out-dir", "m"],
+        ]
+        print([main(argv) for argv in runs])
+    """
+    r = _python(code, tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]"

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,14 +8,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from chaosrng.density import (DensityGrid, TransferOperator, apply,
+from chaosrng import kernels
+from chaosrng.density import (CsrMatrix, DensityGrid, TransferOperator,
                               invariant_density, steady_state,
                               steady_state_for, ulam_matrix, uniform_density,
-                              _ulam_exact)
+                              _ulam_entries, _ulam_exact)
 from chaosrng.errors import ConfigError, NonConvergenceError
-from chaosrng.maps import builtin_pair
+from chaosrng.maps import builtin, builtin_pair, from_json
+from chaosrng.montecarlo import PerturbationSpec, perturb
 
-from conftest import BUILTINS, CERTIFIED
+from conftest import BUILTINS, CERTIFIED, SWAP_MAP, from_scipy, to_scipy
+
+
+# ---------------------------------------------------------------------------
+# oracles: scipy.sparse builds that the package itself no longer carries
+
+def apply(op: TransferOperator, f: DensityGrid) -> DensityGrid:
+    """One transfer-operator step through scipy, renormalized."""
+    mass = to_scipy(op) @ (f.values / f.n_bins)
+    mass /= mass.sum()
+    return DensityGrid(mass * f.n_bins)
+
+
+def ulam_sampled(m, n: int, spb: int) -> TransferOperator:
+    """Stratified points per bin pushed through the map and histogrammed."""
+    offsets = (np.arange(spb) + 0.5) / spb / n
+    cols = np.repeat(np.arange(n), spb)
+    x = cols / n + np.tile(offsets, n)
+    y = m.evaluate_array(x)
+    rows = np.clip((y * n).astype(np.int64), 0, n - 1)
+    return from_scipy(sp.coo_matrix((np.full(x.size, 1.0 / spb), (rows, cols)), shape=(n, n)))
+
+
+def scipy_assembly(m, n: int) -> sp.csr_matrix:
+    """The operator assembled from the same entries by scipy: duplicates summed
+    by ``tocsr``, columns rescaled by a diagonal product."""
+    rows, cols, vals = _ulam_entries(m, n)
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    colsums = np.asarray(mat.sum(axis=0)).ravel()
+    return (mat @ sp.diags(1.0 / np.where(colsums > 0, colsums, 1.0))).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +55,7 @@ from conftest import BUILTINS, CERTIFIED
 def test_ulam_bernoulli_four_bins_exact_columns():
     # oracle: bin (0, 1/4) maps onto (0, 1/2), i.e. half mass to each of bins 0,1
     m, _ = builtin_pair("bernoulli")
-    mat = _ulam_exact(m, 4).toarray()
+    mat = to_scipy(_ulam_exact(m, 4)).toarray()
     assert mat[:, 0] == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-15)
     assert mat[:, 1] == pytest.approx([0.0, 0.0, 0.5, 0.5], abs=1e-15)
     assert mat[:, 2] == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-15)
@@ -31,17 +65,16 @@ def test_ulam_bernoulli_four_bins_exact_columns():
 def test_ulam_columns_stochastic_all_builtins():
     for name in BUILTINS:
         m, _ = builtin_pair(name)
-        for method in ("exact", "sample"):
-            op = ulam_matrix(m, 256, samples_per_bin=32, method=method)
-            colsums = np.asarray(op.matrix.sum(axis=0)).ravel()
+        for method, op in (("exact", ulam_matrix(m, 256)), ("sample", ulam_sampled(m, 256, 32))):
+            colsums = np.asarray(to_scipy(op).sum(axis=0)).ravel()
             assert np.max(np.abs(colsums - 1.0)) < 1e-9, (name, method)
 
 
 def test_ulam_sampled_matches_exact_when_aligned():
     # dyadic slopes and breakpoints: stratified sampling reproduces exact masses
     m, _ = builtin_pair("bernoulli")
-    a = ulam_matrix(m, 64, samples_per_bin=32, method="exact").matrix.toarray()
-    b = ulam_matrix(m, 64, samples_per_bin=32, method="sample").matrix.toarray()
+    a = to_scipy(ulam_matrix(m, 64)).toarray()
+    b = to_scipy(ulam_sampled(m, 64, 32)).toarray()
     assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -49,9 +82,9 @@ def test_ulam_sampled_close_to_exact_example_map():
     # stratified sampling quantizes column masses at 1/samples_per_bin, so the
     # sampled fixed point carries percent-level noise; it must shrink with spb
     m, _ = builtin_pair("example")
-    fa = steady_state(ulam_matrix(m, 512, method="exact"))
-    fb = steady_state(ulam_matrix(m, 512, samples_per_bin=64, method="sample"))
-    fc = steady_state(ulam_matrix(m, 512, samples_per_bin=256, method="sample"))
+    fa = steady_state(ulam_matrix(m, 512))
+    fb = steady_state(ulam_sampled(m, 512, 64))
+    fc = steady_state(ulam_sampled(m, 512, 256))
     assert fa.l1_distance(fb) < 0.02
     assert fa.l1_distance(fc) < fa.l1_distance(fb)
 
@@ -60,10 +93,14 @@ def test_ulam_parameter_validation():
     m, _ = builtin_pair("tent")
     with pytest.raises(ConfigError):
         ulam_matrix(m, 32)
-    with pytest.raises(ConfigError):
-        ulam_matrix(m, 128, samples_per_bin=8, method="sample")
-    with pytest.raises(ConfigError):
-        ulam_matrix(m, 128, method="quadrature")
+
+
+def test_ulam_arrays_equal_scipy_assembly(operator_cases):
+    # same layout and bits as scipy's build, so products add in the same order
+    for m, op in operator_cases:
+        old = scipy_assembly(m, op.n_bins)
+        for ours, theirs in zip(op.matrix, (old.indptr, old.indices, old.data)):
+            assert np.array_equal(ours, theirs), (m.label, op.n_bins)
 
 
 def test_tent_uniform_is_fixed_point():
@@ -71,7 +108,7 @@ def test_tent_uniform_is_fixed_point():
     for n_bins in (64, 256, 1024):
         op = ulam_matrix(m, n_bins)
         u = np.full(n_bins, 1.0 / n_bins)
-        assert np.abs(op.matrix @ u - u).sum() < 1e-9
+        assert np.abs(to_scipy(op) @ u - u).sum() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +145,13 @@ def test_apply_preserves_l1_norm():
 
 
 def test_apply_dimension_mismatch():
+    # the kernel that applies the operator refuses a vector of the wrong length
     m, _ = builtin_pair("tent")
-    with pytest.raises(ConfigError):
-        apply(ulam_matrix(m, 128), uniform_density(256))
+    op = ulam_matrix(m, 128)
+    with pytest.raises(ValueError):
+        kernels.csr_matvec(*op.matrix, np.full(256, 1.0 / 256), np.empty(128))
+    with pytest.raises(ValueError):
+        kernels.csr_matvec(*op.matrix, np.full(128, 1.0 / 128), np.empty(256))
 
 
 def test_steady_state_uniform_for_certified_maps():
@@ -176,10 +217,44 @@ def test_steady_state_non_convergence_raises():
     for j in range(n):
         mat[j, j] = 0.999
         mat[0, j] = mat[0, j] + 0.001
-    op = TransferOperator(mat.tocsr())
+    op = from_scipy(mat)
     with pytest.raises(NonConvergenceError) as info:
         steady_state(op, tol=1e-12, max_iters=3)
     assert info.value.residual is not None and info.value.residual > 0
+
+
+def test_steady_state_swap_map_converges():
+    # plain iteration: L1 step still 9e-7 after 100,000 steps (exit 3)
+    m = from_json(json.dumps(SWAP_MAP))
+    op = ulam_matrix(m, 4096)
+    f = steady_state(op)
+    assert f.l1_distance(apply(op, f)) <= 1e-8
+    # the two halves swap, so each carries half the mass
+    assert f.integrate([(0.0, 0.4)]) == pytest.approx(0.5, abs=1e-4)
+
+
+def test_steady_state_dec_bernoulli_slope_1_3_fine_grid_converges():
+    # plain iteration: a period-2 cycle with L1 step 0.2609 for 100,000 steps
+    op = ulam_matrix(builtin("dec-bernoulli", slope=1.3), 65536)
+    f = steady_state(op)
+    assert f.l1_distance(apply(op, f)) <= 1e-8
+    # the map commutes with x -> 1 - x
+    assert f.integrate([(0.0, 0.5)]) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_lazy_chain_leaves_converging_cases_alone(operator_cases, monkeypatch):
+    # slowly converging chains keep every bit of the plain iteration: oscillating
+    # ones (dec-bernoulli 1.415) and a jittered tent whose mass drains toward 0,
+    # whose step shrinks by under 1% per 50 steps and which the lazy chain
+    # would not finish in 100,000 steps
+    slow = [ulam_matrix(builtin("dec-bernoulli", slope=s), 4096) for s in (1.415, 1.42)]
+    slow.append(ulam_matrix(perturb(builtin("tent"), PerturbationSpec(trials=100, seed=4), 8), 1024))
+    # the builtins and the first 20 jittered maps
+    ops = [op for _, op in operator_cases if op.n_bins == 4096][:26] + slow
+    solved = [steady_state(op).values for op in ops]
+    monkeypatch.setattr("chaosrng.density.STALL_SHRINK", math.inf)
+    for op, values in zip(ops, solved):
+        assert np.array_equal(steady_state(op).values, values)
 
 
 def test_steady_state_tol_validation():
@@ -291,9 +366,20 @@ def test_density_grid_validation():
 
 
 def test_transfer_operator_validation():
-    bad = sp.eye(8).tocsr() * 0.5
-    with pytest.raises(ConfigError):
-        TransferOperator(bad)
+    with pytest.raises(ConfigError, match="columns"):
+        from_scipy(sp.eye(8) * 0.5)
+    with pytest.raises(ConfigError, match="negative"):
+        from_scipy([[1.5, 0.0], [-0.5, 1.0]])  # columns sum to 1
+    ok = from_scipy(sp.eye(8)).matrix
+    malformed = [
+        CsrMatrix(ok.indptr, ok.indices + 1, ok.data),          # column 8 of 8
+        CsrMatrix(ok.indptr[::-1], ok.indices, ok.data),        # indptr runs backwards
+        CsrMatrix(ok.indptr[:-1], ok.indices, ok.data),         # one row short
+        CsrMatrix(ok.indptr, ok.indices[:-1], ok.data),         # indices short
+    ]
+    for mat in malformed:
+        with pytest.raises(ConfigError, match="square CSR"):
+            TransferOperator(mat)
 
 
 def test_density_csv_layout(densities):

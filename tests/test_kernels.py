@@ -14,7 +14,7 @@ from chaosrng import _pykernels
 from chaosrng import kernels
 from chaosrng.maps import builtin_pair
 
-from conftest import BUILTINS
+from conftest import BUILTINS, to_scipy
 
 
 @pytest.fixture
@@ -105,6 +105,74 @@ def test_pure_python_kernel_rejects_short_noise():
                                         noise, out)
     with pytest.raises(ValueError, match="noise is shorter than out"):
         _pykernels.trajectory(kinds, bounds, p0, p1, p2, x0, noise, np.empty(100))
+
+
+def _matvec(impl, op, x):
+    out = np.empty(op.n_bins)
+    impl.csr_matvec(*op.matrix, x, out)
+    return out
+
+
+def test_csr_matvec_matches_scipy(operator_cases):
+    # scipy adds each row in stored order; to_scipy stores it by descending column
+    for m, op in operator_cases:
+        x = np.random.default_rng(op.n_bins).random(op.n_bins)
+        expected = to_scipy(op) @ x
+        assert np.array_equal(_matvec(kernels, op, x), expected), m.label
+        assert np.array_equal(_matvec(_pykernels, op, x), expected), m.label
+
+
+def test_csr_matvec_backends_identical(operator_cases, fastkernels):
+    for m, op in operator_cases:
+        x = np.random.default_rng(op.n_bins + 1).random(op.n_bins)
+        assert np.array_equal(_matvec(fastkernels, op, x), _matvec(_pykernels, op, x)), m.label
+
+
+def _bad_matvec_arguments(case):
+    # 3x3: row 0 = (0, 1), row 1 = (2,), row 2 = ()
+    indptr = np.array([0, 2, 3, 3], dtype=np.int32)
+    indices = np.array([0, 1, 2], dtype=np.int32)
+    data = np.array([0.5, 0.25, 1.0])
+    x = np.ones(3)
+    out = np.empty(3)
+    if case == "index-out-of-range":
+        indices[2] = 3
+    elif case == "negative-index":
+        indices[1] = -1
+    elif case == "short-x":
+        x = np.ones(2)
+    elif case == "int64-indices":
+        indices = indices.astype(np.int64)
+    elif case == "float32-data":
+        data = data.astype(np.float32)
+    elif case == "decreasing-indptr":
+        indptr[2] = 1
+    elif case == "indptr-past-data":
+        indptr[2:] = 4
+    elif case == "short-indptr":
+        indptr = indptr[:-1]
+    return indptr, indices, data, x, out
+
+
+@pytest.mark.parametrize("case", ["index-out-of-range", "negative-index", "short-x",
+                                  "int64-indices", "float32-data", "decreasing-indptr",
+                                  "indptr-past-data", "short-indptr"])
+def test_compiled_csr_matvec_rejects_bad_arguments(case, fastkernels):
+    with pytest.raises((TypeError, ValueError)):
+        fastkernels.csr_matvec(*_bad_matvec_arguments(case))
+
+
+def test_csr_matvec_small_matrix():
+    indptr, indices, data, x, out = _bad_matvec_arguments(None)
+    kernels.csr_matvec(indptr, indices, data, x, out)
+    assert out.tolist() == [0.75, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("case", ["index-out-of-range", "short-x", "decreasing-indptr",
+                                  "indptr-past-data", "short-indptr"])
+def test_pure_python_csr_matvec_rejects_bad_arguments(case):
+    with pytest.raises((IndexError, ValueError)):
+        _pykernels.csr_matvec(*_bad_matvec_arguments(case))
 
 
 def test_final_state_chains_runs():

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erfc, gammaincc
 
 from chaosrng.errors import ConfigError, InsufficientDataError
 from chaosrng.postproc import von_neumann
 from chaosrng.stattests import (ALL_TESTS, approx_entropy_test, battery,
-                                monobit, runs, serial)
+                                gamma_q, monobit, runs, serial)
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +101,32 @@ def test_calibration_smoke():
         bits = rng.integers(0, 2, 20_000).astype(np.uint8)
         rejections += [not r.passed for r in battery(bits)]
     assert np.all(rejections / n_streams <= 0.05)
+
+
+def test_erfc_matches_scipy():
+    worst = 0.0
+    for x in np.linspace(0.0, 26.5, 20_001):
+        ref = erfc(x)
+        if ref >= 1e-300:
+            worst = max(worst, abs(math.erfc(x) - ref) / ref)
+    assert worst <= 1e-12
+
+
+def test_gamma_q_matches_scipy():
+    # shapes of the serial (2^(m-2)) and approximate-entropy (2^(m-1)) tests, m = 2..10
+    shapes = sorted({2 ** (m - 2) for m in range(2, 11)} | {2 ** (m - 1) for m in range(2, 11)})
+    worst = 0.0
+    for a in shapes:
+        xs = np.concatenate([np.geomspace(1e-8, 5000.0, 600), np.linspace(0.0, 3 * a + 100, 600)])
+        for x in xs:
+            ref = gammaincc(a, x)
+            if ref >= 1e-300:
+                worst = max(worst, abs(gamma_q(a, float(x)) - ref) / ref)
+    assert worst <= 1e-12
+
+
+def test_gamma_q_edge_values():
+    assert gamma_q(1, 0.0) == 1.0 and gamma_q(8, 0.0) == 1.0
+    assert gamma_q(1, 2.0) == math.exp(-2.0)
+    assert math.isnan(gamma_q(4, -1e-12)) and math.isnan(gamma_q(4, math.nan))
+    assert gamma_q(2, 1e6) == 0.0
