@@ -15,9 +15,9 @@ from .density import (DensityGrid, TransferOperator, invariant_density,
                       uniform_density)
 from .entropy import (EntropyReport, block_entropy, conditional_entropy,
                       empirical_entropy, entropy_rate)
-from .maps import (BitGen, Branch, PiecewiseMap, Preimage, builtin,
-                   builtin_pair, default_bitgen, from_json,
-                   tailed_tent_parameter, uniform_certificate, validate_map)
+from .maps import (BitGen, Branch, PiecewiseMap, builtin, builtin_pair,
+                   default_bitgen, from_json, tailed_tent_parameter,
+                   uniform_certificate, validate_map)
 from .montecarlo import MCProfile, PerturbationSpec, mc_profile, perturb
 from .postproc import (BitStream, TypicalSetCoder, build_typical_coder,
                        check_rate_bound, coder_output_entropy, encode,
@@ -25,16 +25,16 @@ from .postproc import (BitStream, TypicalSetCoder, build_typical_coder,
                        write_stream)
 from .stattests import (TestResult, approx_entropy_test, battery, monobit,
                         runs, serial)
-from .symbolic import IntervalSet, SequenceTable, bias, preimage_set, refine, s1
+from .symbolic import SequenceTable, refine
 
 __all__ = [
     "__version__",
-    "BitGen", "Branch", "PiecewiseMap", "Preimage", "builtin", "builtin_pair",
+    "BitGen", "Branch", "PiecewiseMap", "builtin", "builtin_pair",
     "default_bitgen", "from_json", "tailed_tent_parameter",
     "uniform_certificate", "validate_map",
     "DensityGrid", "TransferOperator", "invariant_density",
     "steady_state", "steady_state_for", "ulam_matrix", "uniform_density",
-    "IntervalSet", "SequenceTable", "bias", "preimage_set", "refine", "s1",
+    "SequenceTable", "refine",
     "EntropyReport", "block_entropy", "conditional_entropy",
     "empirical_entropy", "entropy_rate",
     "BitStream", "TypicalSetCoder", "build_typical_coder", "check_rate_bound",

@@ -36,8 +36,11 @@ _EXIT_DOC = ("exit codes: 0 ok, 2 configuration error, "
 def _common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--out-dir", default=".", help="directory for output files")
+
+
+def _format_option(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="format of summary reports (default json)")
+                   help="format of the summary report (default json)")
 
 
 def _map_options(p: argparse.ArgumentParser) -> None:
@@ -257,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("postprocess", help="apply a post-processing scheme",
                        epilog=_EXIT_DOC)
     _common_options(p)
+    _format_option(p)
     p.add_argument("--algo", choices=("von-neumann", "typical-set"), required=True)
     p.add_argument("--input", required=True, help="input stream file")
     p.add_argument("--out", default="post.bin", help="output stream file name")
@@ -284,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="randomness test battery", epilog=_EXIT_DOC)
     _common_options(p)
+    _format_option(p)
     p.add_argument("--input", required=True, help="input stream file")
     p.add_argument("--tests", default="all",
                    help=f"'all' or comma list of {','.join(ALL_TESTS)}")

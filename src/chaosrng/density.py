@@ -102,21 +102,11 @@ class DensityGrid:
         return (np.interp(hi, self._edges, self._cum)
                 - np.interp(lo, self._edges, self._cum))
 
-    def integrate(self, intervals) -> float:
-        """Integral over an interval set (anything exposing lefts/rights or pairs)."""
-        lo, hi = _interval_arrays(intervals)
-        return float(self.integrate_pairs(lo, hi).sum())
-
     def sample(self, rng: np.random.Generator, size=None):
         """Inverse-CDF samples; scalar when size is None."""
         u = rng.random(size)
         x = np.interp(u, self.cumulative(), self.edges)
         return float(x) if size is None else x
-
-    def l1_distance(self, other: "DensityGrid") -> float:
-        if other.n_bins != self.n_bins:
-            raise ConfigError("grid sizes differ")
-        return float(np.abs(self.values - other.values).sum() / self.n_bins)
 
     def to_csv(self) -> str:
         edges = [f"{e:.12g}" for e in self.edges.tolist()]
@@ -129,13 +119,6 @@ class DensityGrid:
 
 def uniform_density(n_bins: int = DEFAULT_BINS) -> DensityGrid:
     return DensityGrid(np.ones(n_bins))
-
-
-def _interval_arrays(intervals) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(intervals, "lefts"):
-        return np.asarray(intervals.lefts, float), np.asarray(intervals.rights, float)
-    pairs = np.atleast_2d(np.asarray(intervals, dtype=float))
-    return pairs[:, 0], pairs[:, 1]
 
 
 class CsrMatrix(NamedTuple):

@@ -74,11 +74,6 @@ class EntropyReport:
                       for n, h, c in self.per_n],
         }, indent=2, sort_keys=True)
 
-    def to_csv(self) -> str:
-        lines = ["n,block_entropy,conditional_entropy"]
-        lines += [f"{n},{h:.12g},{c:.12g}" for n, h, c in self.per_n]
-        return "\n".join(lines) + "\n"
-
 
 def entropy_rate(m: PiecewiseMap, gen: BitGen, density: DensityGrid | None = None,
                  n_max: int = 10, table: SequenceTable | None = None) -> EntropyReport:

@@ -8,25 +8,21 @@ everything shipped here:
     log2-affine  y = log2(scale * x + shift) - offset
 
 Maps are immutable after construction and safe to share across workers.
-Breakpoints are excluded from the domain; trajectory helpers nudge inputs
-that land within 1e-12 of a breakpoint (a measure-zero fixup).
+A map step itself lives in the stream kernels only (``_pykernels._advance``
+and its C mirror): they nudge inputs that land within 1e-12 of a breakpoint
+off it (a measure-zero fixup) and clip each value into (0,1).
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DomainError, MapValidationError
 
-#: proximity at which trajectory code nudges inputs off breakpoints
-BREAKPOINT_NUDGE = 1e-12
-#: values are kept strictly inside (EDGE, 1-EDGE) after each map application
-EDGE = 1e-15
 #: midpoints y at which uniform_certificate checks the transfer-operator sum
 CERTIFICATE_SAMPLES = 1024
 #: largest deviation of that sum from 1 that still certifies uniformity
@@ -132,15 +128,6 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class Preimage:
-    """One solution u of map(u) = y, with |M'(u)| and a boundary flag."""
-
-    u: float
-    slope_mag: float
-    boundary: bool = False
-
-
-@dataclass(frozen=True)
 class PiecewiseMap:
     branches: tuple[Branch, ...]
     label: str = "custom"
@@ -172,38 +159,11 @@ class PiecewiseMap:
 
     # -- evaluation ----------------------------------------------------------
 
-    def branch_index(self, x: float) -> int:
-        i = int(np.searchsorted(self._breaks, x, side="right")) - 1
-        return min(max(i, 0), self.n_branches - 1)
-
-    def evaluate(self, x: float) -> float:
-        """Strict single-point evaluation; breakpoints and exterior points error."""
-        if not (0.0 < x < 1.0):
-            raise DomainError(f"x={x!r} outside the open interval (0,1)")
-        interior = self._breaks[1:-1]
-        if interior.size and np.min(np.abs(interior - x)) == 0.0:
-            raise DomainError(f"x={x!r} is a breakpoint of map {self.label!r}")
-        br = self.branches[self.branch_index(x)]
-        y = float(br.forward(x))
-        return min(max(y, 0.0), 1.0)
-
-    def evaluate_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation with breakpoint nudging and edge clipping."""
-        x = nudge_off_breakpoints(np.asarray(x, dtype=float), self._breaks)
-        idx = np.clip(np.searchsorted(self._breaks, x, side="right") - 1,
-                      0, self.n_branches - 1)
-        y = np.empty_like(x)
-        for j, br in enumerate(self.branches):
-            m = idx == j
-            if m.any():
-                y[m] = br.forward(x[m])
-        return np.clip(y, EDGE, 1.0 - EDGE)
-
     def iterate(self, x0: float, steps: int) -> list[float]:
         """Trajectory x_1..x_steps by the stream kernel, without noise.
 
-        Inputs within 1e-12 of a breakpoint are nudged off it, and each
-        value is clipped into (EDGE, 1-EDGE), as in ``kernels.trajectory``.
+        The kernel nudges inputs within 1e-12 of a breakpoint off it and
+        clips each value into (1e-15, 1 - 1e-15).
         """
         if not (0.0 < x0 < 1.0):
             raise DomainError(f"x0={x0!r} outside the open interval (0,1)")
@@ -212,21 +172,6 @@ class PiecewiseMap:
         out = np.empty(steps)
         kernels.trajectory(*self._kernel_spec, x0, np.zeros(steps), out)
         return out.tolist()
-
-    # -- preimage structure ----------------------------------------------------
-
-    def preimages(self, y: float) -> list[Preimage]:
-        """All solutions of map(u) = y, one per branch whose image contains y."""
-        if not (0.0 < y < 1.0):
-            raise DomainError(f"y={y!r} outside the open interval (0,1)")
-        out = []
-        for br in self.branches:
-            lo, hi = br.image
-            if lo <= y <= hi and hi > lo:
-                u = float(np.clip(br.inverse(y), br.a, br.b))
-                out.append(Preimage(u=u, slope_mag=abs(float(br.derivative(u))),
-                                    boundary=(y == lo or y == hi)))
-        return out
 
     def lyapunov(self, density) -> float:
         """Lyapunov exponent (nats) by midpoint quadrature against a density grid.
@@ -281,16 +226,6 @@ class BitGen:
 
 # ---------------------------------------------------------------------------
 # helpers
-
-def nudge_off_breakpoints(x: np.ndarray, breaks: np.ndarray) -> np.ndarray:
-    """Push values within 1e-12 of a breakpoint to breakpoint + 1e-12 (inward at 1)."""
-    x = np.array(x, dtype=float, copy=True)
-    for bp in breaks:
-        near = np.abs(x - bp) < BREAKPOINT_NUDGE
-        if near.any():
-            x[near] = bp + BREAKPOINT_NUDGE if bp + BREAKPOINT_NUDGE < 1.0 else bp - BREAKPOINT_NUDGE
-    return x
-
 
 def validate_map(m: PiecewiseMap, samples_per_branch: int = 64) -> None:
     """Check structural invariants by direct geometry plus interior sampling.

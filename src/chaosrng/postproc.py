@@ -45,9 +45,6 @@ class BitStream:
     def __len__(self) -> int:
         return self.bits.size
 
-    def ones_fraction(self) -> float:
-        return float(self.bits.mean()) if self.bits.size else 0.0
-
 
 def generate_bits(m: PiecewiseMap, gen: BitGen, density: DensityGrid,
                   count: int, seed: int, dither: float = DEFAULT_DITHER) -> BitStream:
@@ -92,11 +89,6 @@ def vn_rate_exact(table: SequenceTable) -> float:
         raise ConfigError("need a table of depth >= 2 for pair probabilities")
     p = table.probs(2)
     return float(0.5 * (p[0b01] + p[0b10]))
-
-
-def rate_one_passthrough(stream: BitStream) -> tuple[BitStream, float]:
-    """Identity post-processing at rate 1 (stand-in for rate-1 designs)."""
-    return stream, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -211,41 +203,35 @@ def check_rate_bound(table: SequenceTable, coder_rate: float,
 _HEADER = struct.Struct("<Q")
 
 
-def write_stream(path, stream: BitStream, fmt: str | None = None) -> None:
-    """Write a stream file; fmt 'bin'/'txt', default by extension (.txt => text)."""
+def write_stream(path, stream: BitStream) -> None:
+    """Write a stream file: ASCII 0/1 for a ``.txt`` path, packed binary otherwise."""
     path = Path(path)
-    fmt = fmt or ("txt" if path.suffix == ".txt" else "bin")
-    if fmt == "txt":
+    if path.suffix == ".txt":
         path.write_text("".join("1" if b else "0" for b in stream.bits) + "\n")
-    elif fmt == "bin":
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(stream.bits.size))
-            fh.write(np.packbits(stream.bits).tobytes())
-    else:
-        raise ConfigError(f"unknown stream format {fmt!r}")
+        return
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(stream.bits.size))
+        fh.write(np.packbits(stream.bits).tobytes())
 
 
-def read_stream(path, fmt: str | None = None) -> BitStream:
+def read_stream(path) -> BitStream:
+    """Read a stream file written by ``write_stream``; the suffix decides the format."""
     path = Path(path)
-    fmt = fmt or ("txt" if path.suffix == ".txt" else "bin")
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
-    if fmt == "txt":
+    if path.suffix == ".txt":
         text = raw.decode("ascii", errors="replace").strip()
         if text and set(text) - {"0", "1"}:
             raise ConfigError(f"{path} is not an ASCII 0/1 stream")
         bits = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
         return BitStream(bits.copy(), {"path": str(path)})
-    if fmt == "bin":
-        if len(raw) < _HEADER.size:
-            raise ConfigError(f"{path} is too short to be a stream file")
-        (count,) = _HEADER.unpack_from(raw)
-        payload = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
-        if payload.size * 8 < count:
-            raise ConfigError(f"{path} header claims {count} bits, payload has "
-                              f"{payload.size * 8}")
-        bits = np.unpackbits(payload)[:count]
-        return BitStream(bits, {"path": str(path)})
-    raise ConfigError(f"unknown stream format {fmt!r}")
+    if len(raw) < _HEADER.size:
+        raise ConfigError(f"{path} is too short to be a stream file")
+    (count,) = _HEADER.unpack_from(raw)
+    payload = np.frombuffer(raw, dtype=np.uint8, offset=_HEADER.size)
+    if payload.size * 8 < count:
+        raise ConfigError(f"{path} header claims {count} bits, payload has "
+                          f"{payload.size * 8}")
+    return BitStream(np.unpackbits(payload)[:count], {"path": str(path)})

@@ -40,75 +40,6 @@ MAX_DEPTH = 20
 MAX_INTERVALS = 20_000_000
 
 
-@dataclass(eq=False)
-class IntervalSet:
-    """Sorted union of disjoint open subintervals of (0,1).
-
-    Intervals may share endpoints (they are disjoint as open sets); slivers
-    shorter than MIN_INTERVAL are dropped at construction and logged.
-    """
-
-    lefts: np.ndarray
-    rights: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.lefts, dtype=float)
-        b = np.asarray(self.rights, dtype=float)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ConfigError("lefts/rights must be 1-d arrays of equal length")
-        order = np.argsort(a, kind="stable")
-        a, b = a[order], b[order]
-        keep = b - a > MIN_INTERVAL
-        dropped = int((~keep).sum())
-        if dropped:
-            logger.debug("IntervalSet: dropped %d slivers below %g", dropped, MIN_INTERVAL)
-        a, b = a[keep], b[keep]
-        if a.size:
-            if a[0] < -1e-12 or b[-1] > 1.0 + 1e-12:
-                raise ConfigError("intervals must lie within [0,1]")
-            if (b[:-1] > a[1:] + 1e-15).any():
-                raise ConfigError("intervals overlap")
-        self.lefts = np.clip(a, 0.0, 1.0)
-        self.rights = np.clip(b, 0.0, 1.0)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "IntervalSet":
-        arr = np.asarray(list(pairs), dtype=float).reshape(-1, 2)
-        return cls(arr[:, 0], arr[:, 1])
-
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls(np.empty(0), np.empty(0))
-
-    def __len__(self) -> int:
-        return self.lefts.size
-
-    def __iter__(self):
-        return iter(zip(self.lefts.tolist(), self.rights.tolist()))
-
-    @property
-    def length(self) -> float:
-        """Total Lebesgue measure."""
-        return float((self.rights - self.lefts).sum())
-
-    def contains(self, x: float) -> bool:
-        i = int(np.searchsorted(self.lefts, x, side="right")) - 1
-        return i >= 0 and self.lefts[i] < x < self.rights[i]
-
-    def intersect_interval(self, lo: float, hi: float) -> "IntervalSet":
-        a = np.maximum(self.lefts, lo)
-        b = np.minimum(self.rights, hi)
-        keep = b - a > 0
-        return IntervalSet(a[keep], b[keep])
-
-
-def s1(gen: BitGen) -> tuple[IntervalSet, IntervalSet]:
-    """The bit-0 and bit-1 starting sets: ((0, threshold), (threshold, 1))."""
-    t = gen.threshold
-    return (IntervalSet(np.array([0.0]), np.array([t])),
-            IntervalSet(np.array([t]), np.array([1.0])))
-
-
 def _pullbacks(m: PiecewiseMap, lefts: np.ndarray, rights: np.ndarray):
     """Per branch meeting intervals (lefts_i, rights_i): (mask of those
     intervals, (xa, xb) endpoints of their preimage intervals)."""
@@ -121,15 +52,6 @@ def _pullbacks(m: PiecewiseMap, lefts: np.ndarray, rights: np.ndarray):
             continue
         xa, xb = br.pullback(a[keep]), br.pullback(b[keep])
         yield keep, ((xa, xb) if br.increasing else (xb, xa))
-
-
-def preimage_set(m: PiecewiseMap, s: IntervalSet) -> IntervalSet:
-    """Union over branches of the branch-inverse images of s."""
-    parts = [x for _, x in _pullbacks(m, s.lefts, s.rights)]
-    if not parts:
-        return IntervalSet.empty()
-    xa, xb = zip(*parts)
-    return IntervalSet(np.concatenate(xa), np.concatenate(xb))
 
 
 @dataclass(eq=False)
@@ -335,25 +257,3 @@ def _forward_levels(m: PiecewiseMap, t: float, n: int):
             lo, hi, words = lo[starts], hi[starts], words[starts]
         weights = rho * (hi - lo)
         yield words, weights, float(weights.sum())
-
-
-def bias(table: SequenceTable) -> float:
-    """|P[0] - 1/2|, the first-order deviation from fair bits."""
-    return table.bias()
-
-
-def word_frequencies(m: PiecewiseMap, gen: BitGen, density: DensityGrid,
-                     n: int, n_samples: int, seed: int = 0) -> np.ndarray:
-    """Monte Carlo word frequencies from simulated trajectories.
-
-    Independent oracle for the refinement pipeline: sample starting points
-    from the density, emit n bits each, and tally the 2^n words.
-    """
-    rng = np.random.default_rng(seed)
-    x = np.asarray(density.sample(rng, n_samples), dtype=float)
-    idx = np.zeros(n_samples, dtype=np.int64)
-    for step in range(n):
-        idx = (idx << 1) | (x >= gen.threshold)
-        if step < n - 1:
-            x = m.evaluate_array(x)
-    return np.bincount(idx, minlength=2 ** n) / n_samples

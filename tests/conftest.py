@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from chaosrng import (PerturbationSpec, TransferOperator, builtin, builtin_pair,
                       generate_bits, perturb, refine, steady_state_for,
                       ulam_matrix, uniform_certificate)
+from chaosrng._pykernels import EDGE, NUDGE
 from chaosrng.density import CsrMatrix
 from chaosrng.errors import PerturbationError
 
@@ -24,6 +25,39 @@ SWAP_MAP = {"branches": [
 NANLOG = {"label": "nanlog", "branches": [
     {"kind": "log2-affine", "domain": [0, 0.5], "scale": 1, "shift": -2, "offset": 0},
     {"kind": "affine", "domain": [0.5, 1.0], "slope": 2, "intercept": -1}]}
+
+
+def step(m, x) -> np.ndarray:
+    """One noiseless map step in numpy, written apart from the stream kernels:
+    values within NUDGE of a breakpoint move off it, each branch formula runs
+    on its own points, and results are clipped into (EDGE, 1 - EDGE)."""
+    breaks = m.breakpoints
+    x = np.array(x, dtype=float)
+    for bp in breaks:
+        x[np.abs(x - bp) < NUDGE] = bp + NUDGE if bp + NUDGE < 1.0 else bp - NUDGE
+    idx = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, m.n_branches - 1)
+    y = np.empty_like(x)
+    for j, br in enumerate(m.branches):
+        y[idx == j] = br.forward(x[idx == j])
+    return np.clip(y, EDGE, 1.0 - EDGE)
+
+
+def word_frequencies(m, gen, density, n: int, n_samples: int, seed: int = 0) -> np.ndarray:
+    """Monte Carlo frequencies of the 2^n words, an oracle for ``refine``:
+    starting points drawn from ``density`` emit n bits each through ``step``."""
+    rng = np.random.default_rng(seed)
+    x = density.sample(rng, n_samples)
+    idx = np.zeros(n_samples, dtype=np.int64)
+    for k in range(n):
+        idx = (idx << 1) | (x >= gen.threshold)
+        if k < n - 1:
+            x = step(m, x)
+    return np.bincount(idx, minlength=2 ** n) / n_samples
+
+
+def l1(f, g) -> float:
+    """L1 distance between two densities on the same grid."""
+    return float(np.abs(f.values - g.values).mean())
 
 
 def to_scipy(op) -> sp.csr_matrix:

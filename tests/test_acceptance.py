@@ -26,9 +26,9 @@ from chaosrng.postproc import (build_typical_coder, check_rate_bound,
                                coder_output_entropy, generate_bits,
                                von_neumann, vn_rate_exact, BitStream)
 from chaosrng.stattests import ALL_TESTS, battery, monobit
-from chaosrng.symbolic import refine, word_frequencies
+from chaosrng.symbolic import refine
 
-from conftest import BUILTINS, CERTIFIED
+from conftest import BUILTINS, CERTIFIED, l1, word_frequencies
 
 LOG2_E = 1.0 / math.log(2.0)
 
@@ -39,7 +39,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_c01_bernoulli_exact_behavior(pairs, densities, tables10):
     f = densities["bernoulli"]
-    uniform_l1 = f.l1_distance(uniform_density(f.n_bins))
+    uniform_l1 = l1(f, uniform_density(f.n_bins))
     t = tables10["bernoulli"]
     bias = t.bias()
     conds = [conditional_entropy(t, n) for n in range(1, 11)]
@@ -126,7 +126,7 @@ def test_c04_dec_bernoulli_entropy_rate(pairs, densities, tables10, streams1m):
 
 def test_c05_tailed_tent_uniformity_and_bias(pairs, densities, tables10):
     f = densities["tailed-tent"]
-    uniform_l1 = f.l1_distance(uniform_density(f.n_bins))
+    uniform_l1 = l1(f, uniform_density(f.n_bins))
     bias = tables10["tailed-tent"].bias()
     ok = uniform_l1 <= 1e-6 and bias <= 0.01
     report("5a tailed-tent uniform+bias", ok,

@@ -128,6 +128,17 @@ def test_exit_code_unknown_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_format_on_subcommands_without_reports(tmp_path, capsys):
+    # only postprocess and test write a summary report in either format
+    assert run(tmp_path, "analyze", "--map", "example", "--format", "csv") == 2
+    assert run(tmp_path, "generate", "--map", "example", "--count", "10",
+               "--format", "csv") == 2
+    assert run(tmp_path, "montecarlo", "--map", "zigzag", "--trials", "1",
+               "--format", "csv") == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "entropy_report.json").exists()
+
+
 def test_exit_code_missing_map_file(tmp_path):
     assert run(tmp_path, "analyze", "--map", "missing.json") == 2
 

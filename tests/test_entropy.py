@@ -124,9 +124,7 @@ def test_entropy_report_serialization(pairs, densities):
     rep = entropy_rate(*pairs["example"], density=densities["example"], n_max=4)
     txt = rep.to_json()
     assert '"entropy_rate"' in txt and '"lyapunov"' in txt
-    csv = rep.to_csv().strip().split("\n")
-    assert csv[0] == "n,block_entropy,conditional_entropy"
-    assert len(csv) == 5
+    assert txt.count('"block_entropy"') == 4
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from chaosrng.maps import (BitGen, Branch, PiecewiseMap, builtin, builtin_pair,
                            default_bitgen, from_json, tailed_tent_parameter,
                            uniform_certificate, validate_map)
 
-from conftest import BUILTINS, NANLOG
+from conftest import NANLOG, step
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +38,8 @@ def test_dec_bernoulli_symmetry():
     m = builtin("dec-bernoulli", slope=1.5)
     xs = np.linspace(0.01, 0.99, 199)
     xs = xs[np.abs(xs - 0.5) > 1e-6]
-    lhs = m.evaluate_array(1.0 - xs)
-    rhs = 1.0 - m.evaluate_array(xs)
+    lhs = step(m, 1.0 - xs)
+    rhs = 1.0 - step(m, xs)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -53,27 +53,17 @@ def test_tailed_tent_parameter_solves_target():
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: the numpy oracle ``step`` against closed forms, then the kernel
 
 def test_evaluate_bernoulli_points(pairs):
     m = pairs["bernoulli"][0]
-    assert m.evaluate(0.3) == pytest.approx(0.6, abs=1e-15)
-    assert m.evaluate(0.75) == pytest.approx(0.5, abs=1e-15)
+    assert step(m, [0.3, 0.75]) == pytest.approx([0.6, 0.5], abs=1e-15)
 
 
 def test_evaluate_example_closed_form(pairs):
     m = pairs["example"][0]
-    assert m.evaluate(0.5) == pytest.approx(math.log2(2.5) - 1.0, abs=1e-14)
-    assert m.evaluate(0.2) == pytest.approx(math.log2(1.6), abs=1e-14)
-
-
-def test_evaluate_rejects_bad_inputs(pairs):
-    m = pairs["bernoulli"][0]
-    with pytest.raises(DomainError, match="0.5"):
-        m.evaluate(0.5)
-    for x in (0.0, 1.0, -0.2, 1.3):
-        with pytest.raises(DomainError):
-            m.evaluate(x)
+    assert step(m, [0.5, 0.2]) == pytest.approx(
+        [math.log2(2.5) - 1.0, math.log2(1.6)], abs=1e-14)
 
 
 def test_iterate_bernoulli(pairs):
@@ -106,37 +96,46 @@ def test_iterate_argument_errors(pairs):
 
 
 # ---------------------------------------------------------------------------
-# preimages
+# preimages, by branch inverse and derivative
+
+def preimages(m, y: float) -> list:
+    """(u, |M'(u)|) for every branch whose image contains y."""
+    out = []
+    for br in m.branches:
+        lo, hi = br.image
+        if lo <= y <= hi and hi > lo:
+            u = float(np.clip(br.inverse(y), br.a, br.b))
+            out.append((u, abs(float(br.derivative(u)))))
+    return out
+
 
 def test_preimages_bernoulli_half(pairs):
-    pre = pairs["bernoulli"][0].preimages(0.5)
-    assert [(p.u, p.slope_mag) for p in pre] == [(0.25, 2.0), (0.75, 2.0)]
+    assert preimages(pairs["bernoulli"][0], 0.5) == [(0.25, 2.0), (0.75, 2.0)]
 
 
 def test_preimages_example_closed_form(pairs):
     # u = (2^(y+k) - 1)/3 for k in {0,1}
-    pre = pairs["example"][0].preimages(0.4)
+    pre = preimages(pairs["example"][0], 0.4)
     u0 = (2.0 ** 0.4 - 1.0) / 3.0
     u1 = (2.0 ** 1.4 - 1.0) / 3.0
-    assert [p.u for p in pre] == pytest.approx([u0, u1], abs=1e-12)
+    assert [u for u, _ in pre] == pytest.approx([u0, u1], abs=1e-12)
     ln2 = math.log(2.0)
-    assert [p.slope_mag for p in pre] == pytest.approx(
+    assert [d for _, d in pre] == pytest.approx(
         [3.0 / ((1.0 + 3.0 * u0) * ln2), 3.0 / ((1.0 + 3.0 * u1) * ln2)], rel=1e-12)
 
 
 def test_preimages_zigzag(pairs):
-    pre = pairs["zigzag"][0].preimages(0.3)
-    assert len(pre) == 2
-    assert [p.u for p in pre] == pytest.approx([0.4, 0.9], abs=1e-12)
-    assert all(p.slope_mag == 2.0 for p in pre)
+    pre = preimages(pairs["zigzag"][0], 0.3)
+    assert [u for u, _ in pre] == pytest.approx([0.4, 0.9], abs=1e-12)
+    assert all(d == 2.0 for _, d in pre)
 
 
 def test_preimage_identity_property(pairs, rng):
     for name, (m, _) in pairs.items():
         ys = rng.random(10_000) * 0.998 + 0.001
         for y in ys[:200]:
-            for p in m.preimages(float(y)):
-                assert abs(m.evaluate(p.u) - y) <= 1e-10, name
+            for u, _ in preimages(m, float(y)):
+                assert abs(step(m, [u])[0] - y) <= 1e-10, name
         # vectorized check of the full batch through branch arithmetic
         for br in m.branches:
             lo, hi = br.image
@@ -160,23 +159,22 @@ def test_preimage_counts_and_certificate(pairs, rng):
     for name, expected in (("bernoulli", {2}), ("tent", {2}),
                            ("zigzag", {2}), ("tailed-tent", {3})):
         m = pairs[name][0]
-        counts = {len(m.preimages(float(y))) for y in ys[::10]}
+        counts = {len(preimages(m, float(y))) for y in ys[::10]}
         assert counts == expected, name
     # certificate sum for the measure-preserving maps
     for name in ("bernoulli", "tent", "zigzag", "tailed-tent"):
         m = pairs[name][0]
         for y in ys[::100]:
-            s = sum(1.0 / p.slope_mag for p in m.preimages(float(y)))
+            s = sum(1.0 / d for _, d in preimages(m, float(y)))
             assert s == pytest.approx(1.0, abs=1e-12), name
 
 
 def test_preimages_flag_image_boundaries(pairs):
-    # zigzag outer-branch images end exactly at 1/2: both-sides convention
-    pre = pairs["zigzag"][0].preimages(0.5)
-    assert len(pre) == 3
-    flags = {round(p.u, 12): p.boundary for p in pre}
-    assert flags[0.0] is True and flags[1.0] is True
-    assert flags[0.5] is False
+    # zigzag outer-branch images end exactly at 1/2, where the pullback snaps
+    # to the domain end that maps there; the middle branch crosses 1/2 at 1/2
+    brs = pairs["zigzag"][0].branches
+    assert [float(br.pullback(np.array([0.5]))[0]) for br in brs] == \
+        pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
 
 
 def test_uniform_certificate_flags(pairs):
@@ -229,11 +227,11 @@ def test_lyapunov_matches_birkhoff_ensemble(pairs, densities):
     for name, (m, _) in pairs.items():
         x = rng.random(40_000) * 0.998 + 0.001
         for _ in range(60):  # burn-in toward the invariant density
-            x = m.evaluate_array(x)
+            x = step(m, x)
         acc = 0.0
         for _ in range(30):
             acc += _log_slope(m, x).mean()
-            x = m.evaluate_array(x)
+            x = step(m, x)
         birkhoff = acc / 30
         quad = m.lyapunov(densities[name])
         assert quad == pytest.approx(birkhoff, abs=1e-3), name

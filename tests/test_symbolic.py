@@ -8,27 +8,45 @@ from hypothesis import strategies as st
 from chaosrng.density import uniform_density
 from chaosrng.errors import ConfigError, ResourceLimitError
 from chaosrng.maps import BitGen, builtin_pair
-from chaosrng.symbolic import (IntervalSet, SequenceTable, bias, preimage_set,
-                               refine, s1, word_frequencies)
+from chaosrng.symbolic import MIN_INTERVAL, SequenceTable, _pullbacks, refine
 
-from conftest import BUILTINS, CERTIFIED
+from conftest import BUILTINS, CERTIFIED, word_frequencies
+
+
+def preimage(m, lefts, rights):
+    """(lefts, rights) of the preimage of the intervals (lefts_i, rights_i),
+    sorted by left endpoint."""
+    parts = [x for _, x in _pullbacks(m, np.asarray(lefts, float), np.asarray(rights, float))]
+    xa = np.concatenate([a for a, _ in parts] + [np.empty(0)])
+    xb = np.concatenate([b for _, b in parts] + [np.empty(0)])
+    order = np.argsort(xa, kind="stable")
+    return xa[order], xb[order]
+
+
+def length(s) -> float:
+    lefts, rights = s
+    return float((rights - lefts).sum())
 
 
 def cylinder_levels(m, gen, n):
-    """Backward oracle: per level, the interval set of every word, by index.
+    """Backward oracle: per level, the (lefts, rights) intervals of every
+    word, by index, sorted by left endpoint.
 
-    S(z_1..z_n) = S_1(z_1) intersected with M^{-1}(S(z_2..z_n)), one set at a
-    time through ``s1`` and ``preimage_set``; slivers below MIN_INTERVAL drop.
+    S(z_1..z_n) = S_1(z_1) intersected with M^{-1}(S(z_2..z_n)), one word at a
+    time; slivers below MIN_INTERVAL drop.
     """
-    z = s1(gen)
-    sets = list(z)
+    t = gen.threshold
+    z = ((0.0, t), (t, 1.0))
+    sets = [(np.array([lo]), np.array([hi])) for lo, hi in z]
     yield sets
     for level in range(2, n + 1):
         nxt = [None] * 2 ** level
         for v, s in enumerate(sets):
-            pre = preimage_set(m, s)
-            for z1, zs in enumerate(z):
-                nxt[(z1 << (level - 1)) + v] = pre.intersect_interval(zs.lefts[0], zs.rights[0])
+            xa, xb = preimage(m, *s)
+            for z1, (lo, hi) in enumerate(z):
+                a, b = np.maximum(xa, lo), np.minimum(xb, hi)
+                keep = b - a > MIN_INTERVAL
+                nxt[(z1 << (level - 1)) + v] = (a[keep], b[keep])
         sets = nxt
         yield sets
 
@@ -65,63 +83,31 @@ def exact_forward_probs(m, gen, n):
 
 
 # ---------------------------------------------------------------------------
-# IntervalSet basics
+# level 1 and preimages
 
-def test_interval_set_sorts_and_drops_slivers():
-    s = IntervalSet(np.array([0.5, 0.1, 0.3]), np.array([0.6, 0.2, 0.3 + 1e-16]))
-    assert list(s) == pytest.approx([(0.1, 0.2), (0.5, 0.6)])
-    assert s.length == pytest.approx(0.2)
-
-
-def test_interval_set_rejects_overlap_and_outside():
-    with pytest.raises(ConfigError):
-        IntervalSet(np.array([0.1, 0.15]), np.array([0.2, 0.3]))
-    with pytest.raises(ConfigError):
-        IntervalSet(np.array([-0.5]), np.array([0.5]))
-
-
-def test_interval_set_touching_endpoints_allowed():
-    s = IntervalSet(np.array([0.0, 0.5]), np.array([0.5, 1.0]))
-    assert len(s) == 2 and s.length == pytest.approx(1.0)
-
-
-def test_interval_set_queries():
-    s = IntervalSet.from_pairs([(0.1, 0.2), (0.4, 0.7)])
-    assert s.contains(0.15) and s.contains(0.5)
-    assert not s.contains(0.3) and not s.contains(0.2)
-    clipped = s.intersect_interval(0.15, 0.5)
-    assert list(clipped) == pytest.approx([(0.15, 0.2), (0.4, 0.5)])
-    assert len(IntervalSet.empty()) == 0
-
-
-# ---------------------------------------------------------------------------
-# s1 and preimages
-
-def test_s1_example_thresholds():
-    z0, z1 = s1(BitGen(1.0 / 3.0))
-    assert list(z0) == pytest.approx([(0.0, 1.0 / 3.0)])
-    assert list(z1) == pytest.approx([(1.0 / 3.0, 1.0)])
-    b0, b1 = s1(BitGen(0.5))
-    assert b0.length == b1.length == pytest.approx(0.5)
+def test_s1_example_thresholds(pairs):
+    # the level-1 sets are (0, t) and (t, 1), so a certified map gives their lengths
+    m = pairs["bernoulli"][0]
+    for t in (1.0 / 3.0, 0.5):
+        table = refine(m, BitGen(t), 1)
+        assert table.probs(1).tolist() == [t, 1.0 - t]
+        assert table.interval_count(1) == 2
 
 
 def test_preimage_set_bernoulli_lower_half(pairs):
-    m = pairs["bernoulli"][0]
-    pre = preimage_set(m, IntervalSet.from_pairs([(0.0, 0.5)]))
-    assert list(pre) == pytest.approx([(0.0, 0.25), (0.5, 0.75)])
+    xa, xb = preimage(pairs["bernoulli"][0], [0.0], [0.5])
+    assert list(zip(xa, xb)) == pytest.approx([(0.0, 0.25), (0.5, 0.75)])
 
 
 def test_preimage_set_tent_lower_half(pairs):
-    m = pairs["tent"][0]
-    pre = preimage_set(m, IntervalSet.from_pairs([(0.0, 0.5)]))
-    assert list(pre) == pytest.approx([(0.0, 0.25), (0.75, 1.0)])
+    xa, xb = preimage(pairs["tent"][0], [0.0], [0.5])
+    assert list(zip(xa, xb)) == pytest.approx([(0.0, 0.25), (0.75, 1.0)])
 
 
 def test_preimage_set_full_interval(pairs):
     for name in BUILTINS:
-        m = pairs[name][0]
-        pre = preimage_set(m, IntervalSet.from_pairs([(0.0, 1.0)]))
-        assert pre.length == pytest.approx(1.0, abs=1e-12), name
+        pre = preimage(pairs[name][0], [0.0], [1.0])
+        assert length(pre) == pytest.approx(1.0, abs=1e-12), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,10 +122,10 @@ def test_preimage_preserves_measure_for_certified_maps(raw):
             prev = b
     if not ivals:
         return
-    s = IntervalSet.from_pairs(ivals)
+    s = tuple(np.array(side) for side in zip(*ivals))
     for name in CERTIFIED:
         m, _ = builtin_pair(name)
-        assert preimage_set(m, s).length == pytest.approx(s.length, abs=1e-12), name
+        assert length(preimage(m, *s)) == pytest.approx(length(s), abs=1e-12), name
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +134,11 @@ def test_preimage_preserves_measure_for_certified_maps(raw):
 def test_refine_bernoulli_depth2_exact(pairs, tables10):
     m, gen = pairs["bernoulli"]
     sets = list(cylinder_levels(m, gen, 2))[1]
-    assert list(sets[0b00]) == pytest.approx([(0.0, 0.25)])
-    assert list(sets[0b01]) == pytest.approx([(0.25, 0.5)])
-    assert list(sets[0b10]) == pytest.approx([(0.5, 0.75)])
-    assert list(sets[0b11]) == pytest.approx([(0.75, 1.0)])
+    for c, expected in zip(sets, ((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))):
+        assert list(zip(*c)) == pytest.approx([expected])
     t = tables10["bernoulli"]
     assert t.probs(2) == pytest.approx([0.25] * 4, abs=1e-15)
-    assert list(t.probs(2)) == [c.length for c in sets]
+    assert list(t.probs(2)) == [length(c) for c in sets]
 
 
 def test_refine_example_first_bit(tables10):
@@ -163,15 +147,14 @@ def test_refine_example_first_bit(tables10):
     assert p[0] + p[1] == pytest.approx(1.0, abs=1e-9)
     assert p[0] == pytest.approx(0.14, abs=0.01)
     assert t.bias() == pytest.approx(0.36, abs=0.01)
-    assert bias(t) == t.bias()
 
 
 def test_refine_base_case_matches_s1(pairs, densities):
     for name in BUILTINS:
         m, gen = pairs[name]
         t = refine(m, gen, 1, density=densities[name])
-        z0, _ = s1(gen)
-        assert t.probs(1)[0] == pytest.approx(densities[name].integrate(z0), abs=1e-12)
+        p0 = densities[name].integrate_pairs(np.array([0.0]), np.array([gen.threshold]))
+        assert t.probs(1)[0] == pytest.approx(p0.sum(), abs=1e-12)
 
 
 def test_refine_certified_default_matches_uniform_grids(pairs):
@@ -212,12 +195,12 @@ def test_word_table_contract_on_fragmenting_map(pairs):
     counts = _csv_counts(t)
     for n, sets in enumerate(cylinder_levels(m, gen, 8), start=1):
         total = 0
-        for idx, s in enumerate(sets):
+        for idx, (lefts, rights) in enumerate(sets):
             word = format(idx, f"0{n}b")
-            assert np.all(s.lefts[1:] >= s.lefts[:-1]), word
-            assert np.all(s.rights[:-1] <= s.lefts[1:]), word
-            assert abs(s.length - t.prob(word)) <= 1e-15, word
-            assert (counts[word] > 0) == (t.prob(word) > 0) == (len(s) > 0), word
+            assert np.all(lefts[1:] >= lefts[:-1]), word
+            assert np.all(rights[:-1] <= lefts[1:]), word
+            assert abs(length((lefts, rights)) - t.prob(word)) <= 1e-15, word
+            assert (counts[word] > 0) == (t.prob(word) > 0) == (lefts.size > 0), word
             total += counts[word]
         assert total == t.interval_count(n), n
     assert max(counts.values()) > 1
@@ -231,10 +214,10 @@ def test_backward_counts_are_oracle_intervals(pairs, densities):
     t = refine(m, gen, 8, density=densities["tailed-tent"])
     counts = _csv_counts(t)
     for n, sets in enumerate(cylinder_levels(m, gen, 8), start=1):
-        for idx, s in enumerate(sets):
-            assert len(s) == counts[format(idx, f"0{n}b")]
-        assert sum(len(s) for s in sets) == t.interval_count(n)
-        assert t.partition_length(n) == pytest.approx(sum(s.length for s in sets), abs=1e-15)
+        for idx, (lefts, _) in enumerate(sets):
+            assert lefts.size == counts[format(idx, f"0{n}b")]
+        assert sum(lefts.size for lefts, _ in sets) == t.interval_count(n)
+        assert t.partition_length(n) == pytest.approx(sum(map(length, sets)), abs=1e-15)
 
 
 def test_forward_refine_matches_backward_oracle(pairs):
@@ -242,10 +225,10 @@ def test_forward_refine_matches_backward_oracle(pairs):
     m, gen = pairs["tailed-tent"]
     t = refine(m, gen, 12)
     levels = list(cylinder_levels(m, gen, 12))
-    loss = 1.0 - sum(s.length for s in levels[-1])
+    loss = 1.0 - sum(map(length, levels[-1]))
     assert 0.0 < loss < 1e-10
     for n, sets in enumerate(levels, start=1):
-        lengths = np.array([s.length for s in sets])
+        lengths = np.array([length(s) for s in sets])
         assert np.max(np.abs(t.probs(n) - lengths)) <= loss + 1e-15, n
         assert np.array_equal(t.probs(n) > 0, lengths > 0), n
 
