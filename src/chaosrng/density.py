@@ -178,8 +178,7 @@ def _ulam_entries(m: PiecewiseMap, n: int) -> tuple[np.ndarray, np.ndarray, np.n
     may repeat where two branches share a bin."""
     edges = np.linspace(0.0, 1.0, n + 1)
     rows_all, cols_all, vals_all = [], [], []
-    for br in m.branches:
-        u = br.pullback(edges)
+    for br, u in zip(m.branches, m.pullback(edges)):
         if not br.increasing:
             u = u[::-1]  # ascending x, one per bin edge
         lo, hi = u[0], u[-1]
@@ -192,10 +191,12 @@ def _ulam_entries(m: PiecewiseMap, n: int) -> tuple[np.ndarray, np.ndarray, np.n
             continue
         mids = 0.5 * (merged[:-1] + merged[1:])
         lens = np.diff(merged)
-        rows = np.clip(np.searchsorted(u, mids) - 1, 0, n - 1)
+        rows = np.searchsorted(u, mids) - 1
+        np.minimum(np.maximum(rows, 0, out=rows), n - 1, out=rows)
         if not br.increasing:
             rows = n - 1 - rows
-        cols = np.clip((mids * n).astype(np.int64), 0, n - 1)
+        cols = (mids * n).astype(np.int64)
+        np.minimum(np.maximum(cols, 0, out=cols), n - 1, out=cols)
         keep = lens > 0
         rows_all.append(rows[keep])
         cols_all.append(cols[keep])

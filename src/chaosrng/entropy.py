@@ -59,9 +59,6 @@ class EntropyReport:
     bias: float
     lyapunov: float
 
-    def conditional(self, n: int) -> float:
-        return self.per_n[n - 1][2]
-
     def to_json(self) -> str:
         return json.dumps({
             "map": self.map_label,

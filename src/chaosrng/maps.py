@@ -8,6 +8,10 @@ everything shipped here:
     log2-affine  y = log2(scale * x + shift) - offset
 
 Maps are immutable after construction and safe to share across workers.
+The interval pullback, the one inverse that backward refinement and the
+Ulam build use, is ``PiecewiseMap.pullback``: it maps an array through every
+branch at once, clipping to each raw image and domain and snapping values
+beyond the clipped image to the domain end that maps there.
 A map step itself lives in the stream kernels only (``_pykernels._advance``
 and its C mirror): they nudge inputs that land within 1e-12 of a breakpoint
 off it (a measure-zero fixup) and clip each value into (0,1).
@@ -20,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .errors import ConfigError, DomainError, MapValidationError
+from .errors import ConfigError, MapValidationError
 
 #: midpoints y at which uniform_certificate checks the transfer-operator sum
 CERTIFICATE_SAMPLES = 1024
@@ -56,8 +59,7 @@ class Branch:
             raise ConfigError(f"unknown branch kind {self.kind!r}")
         if not (self.b > self.a):
             raise MapValidationError(f"empty branch domain ({self.a}, {self.b})")
-        # the endpoint values fix image and orientation; pullbacks read them
-        # on every refinement level, so evaluate them once
+        # the endpoint values fix image and orientation; evaluate them once
         with np.errstate(invalid="ignore", divide="ignore"):
             lo, hi = float(self.forward(self.a)), float(self.forward(self.b))
         object.__setattr__(self, "_increasing", hi >= lo)
@@ -103,22 +105,6 @@ class Branch:
     def increasing(self) -> bool:
         return self._increasing
 
-    def pullback(self, y: np.ndarray) -> np.ndarray:
-        """Element-wise preimages of the array ``y`` in the branch domain.
-
-        Values at or beyond the clipped image snap to the domain endpoint that
-        maps there, so saturated regions (raw image outside [0,1]) are charged
-        to the boundary rather than lost. On a decreasing branch an ascending
-        ``y`` gives descending x-values.
-        """
-        lo_raw, hi_raw = self.image_raw
-        x = np.clip(self.inverse(np.clip(y, lo_raw, hi_raw)), self.a, self.b)
-        lo, hi = self.image
-        at_lo, at_hi = (self.a, self.b) if self.increasing else (self.b, self.a)
-        x[y <= lo] = at_lo
-        x[y >= hi] = at_hi
-        return x
-
     def to_json_dict(self) -> dict:
         if self.kind == "affine":
             return {"kind": "affine", "domain": [self.a, self.b],
@@ -143,6 +129,14 @@ class PiecewiseMap:
         p1 = np.array([br.p1 for br in self.branches])
         p2 = np.array([br.p2 for br in self.branches])
         object.__setattr__(self, "_kernel_spec", (kinds, breaks.copy(), p0, p1, p2))
+        # (branches, 1) columns read by ``pullback``: raw and clipped image,
+        # domain, the domain ends the clipped image ends pull back to, and the
+        # formula parameters
+        cols = np.array([(*br.image_raw, *br.image, br.a, br.b,
+                          *((br.a, br.b) if br.increasing else (br.b, br.a)),
+                          br.p0, br.p1, br.p2) for br in self.branches])
+        object.__setattr__(self, "_pull", tuple(c[:, None] for c in cols.T.copy()))
+        object.__setattr__(self, "_log_rows", np.flatnonzero(kinds == 1))
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -157,21 +151,34 @@ class PiecewiseMap:
         """Parameter arrays consumed by the iteration kernels."""
         return self._kernel_spec
 
-    # -- evaluation ----------------------------------------------------------
+    def pullback(self, y) -> np.ndarray:
+        """Preimages of ``y`` under every branch at once: row k is branch k's.
 
-    def iterate(self, x0: float, steps: int) -> list[float]:
-        """Trajectory x_1..x_steps by the stream kernel, without noise.
-
-        The kernel nudges inputs within 1e-12 of a breakpoint off it and
-        clips each value into (1e-15, 1 - 1e-15).
+        ``y`` broadcasts against shape (branches, K). Each row clips ``y`` to
+        the branch's raw image, inverts it and clips the result into the
+        branch domain. Values at or beyond the clipped image snap to the
+        domain end that maps there, so saturated regions (raw image outside
+        [0,1]) are charged to the boundary rather than lost. On a decreasing
+        branch an ascending ``y`` gives descending x-values.
         """
-        if not (0.0 < x0 < 1.0):
-            raise DomainError(f"x0={x0!r} outside the open interval (0,1)")
-        if steps < 1:
-            raise ConfigError("steps must be >= 1")
-        out = np.empty(steps)
-        kernels.trajectory(*self._kernel_spec, x0, np.zeros(steps), out)
-        return out.tolist()
+        lo_raw, hi_raw, lo, hi, a, b, at_lo, at_hi, p0, p1, p2 = self._pull
+        # bound first: on ties np.maximum/np.minimum return their second
+        # operand, so signed zeros come out as np.clip leaves them
+        x = np.maximum(lo_raw, y)
+        np.minimum(hi_raw, x, out=x)
+        logs = self._log_rows
+        if logs.size == self.n_branches:
+            x += p2
+            np.exp2(x, out=x)
+        elif logs.size:
+            x[logs] = np.exp2(x[logs] + p2[logs])
+        x -= p1
+        x /= p0
+        np.maximum(a, x, out=x)
+        np.minimum(b, x, out=x)
+        np.copyto(x, at_lo, where=y <= lo)
+        np.copyto(x, at_hi, where=y >= hi)
+        return x
 
     def lyapunov(self, density) -> float:
         """Lyapunov exponent (nats) by midpoint quadrature against a density grid.
@@ -216,12 +223,6 @@ class BitGen:
     def __post_init__(self):
         if not (0.0 < self.threshold < 1.0):
             raise ConfigError(f"threshold {self.threshold!r} outside (0,1)")
-
-    def bit(self, x: float) -> int:
-        return 0 if x < self.threshold else 1
-
-    def bits(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x) >= self.threshold).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

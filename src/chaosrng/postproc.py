@@ -28,6 +28,9 @@ from .symbolic import SequenceTable
 #: generator amplifies and leaves block statistics unchanged at any
 #: tolerance used here. Pass dither=0 for exact (short-horizon) iteration.
 DEFAULT_DITHER = 2.0 ** -40
+#: typical-set codebook: probabilities within this relative distance of the
+#: first of their group count as tied and are labelled by word index
+TIE_RTOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -133,13 +136,36 @@ def build_typical_coder(table: SequenceTable, n: int, epsilon: float) -> Typical
     k = math.ceil(math.log2(n_typical)) if n_typical > 1 else 0
     # deterministic codebook: descending probability, ties by word index
     idx = np.nonzero(typical)[0]
-    order = idx[np.lexsort((idx, -probs[idx]))]
+    idx = idx[np.argsort(-probs[idx], kind="stable")]
+    order = idx[np.lexsort((idx, _tie_groups(probs[idx])))]
     labels = np.zeros(probs.size, dtype=np.int64)
     labels[order] = np.arange(n_typical)
     coverage = float(probs[typical].sum())
     return TypicalSetCoder(n=n, epsilon=epsilon, k=k, h_per_symbol=h,
                            labels=labels, typical=typical,
                            coverage=coverage, n_typical=n_typical)
+
+
+def _tie_groups(p: np.ndarray) -> np.ndarray:
+    """Group number of each entry of the descending array ``p``.
+
+    A group starts at an entry below (1 - TIE_RTOL) times the group's first
+    entry, so probabilities that agree up to rounding share a group and the
+    codebook orders them by word index, whatever their last bits.
+    """
+    start = np.ones(p.size, dtype=bool)
+    start[1:] = p[1:] < (1.0 - TIE_RTOL) * p[:-1]
+    # within a run of near-equal neighbours, the drift from the group's
+    # first entry may still pass the tolerance: walk those runs group by group
+    firsts = np.flatnonzero(start)
+    ends = np.append(firsts[1:], p.size)
+    runs = ends - firsts > 1
+    for lo, hi in zip(firsts[runs].tolist(), ends[runs].tolist()):
+        while hi - lo > 1:
+            lo += int(np.searchsorted(-p[lo:hi], -(1.0 - TIE_RTOL) * p[lo], side="right"))
+            if lo < hi:
+                start[lo] = True
+    return np.cumsum(start)
 
 
 def encode(coder: TypicalSetCoder, stream: BitStream) -> BitStream:

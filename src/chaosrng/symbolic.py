@@ -6,8 +6,12 @@ measures these sets for all 2^n words at once, level by level, on one of two
 paths:
 
 * backward: S_n(z_1..z_n) = S_1(z_1) intersected with M^{-1}(S_{n-1}(z_2..z_n)),
-  refined on flat endpoint arrays and integrated against the density. Its
-  interval count grows like branches^n on maps whose words fragment.
+  refined on flat endpoint arrays and integrated against the density. One
+  level is one step over (branch, interval) arrays: every interval meets
+  every branch image, ``PiecewiseMap.pullback`` pulls the ends back through
+  all branches at once, and the preimages split at the threshold, so the
+  number of array passes does not depend on the branch count. Its interval
+  count grows like branches^n on maps whose words fragment.
 * forward, for maps whose branches are all affine under a flat density:
   states (word, image of a piece under M^{n-1}, rho) are pushed through the
   branches and merged on equal images, so the state count follows the number
@@ -40,20 +44,6 @@ MAX_DEPTH = 20
 MAX_INTERVALS = 20_000_000
 
 
-def _pullbacks(m: PiecewiseMap, lefts: np.ndarray, rights: np.ndarray):
-    """Per branch meeting intervals (lefts_i, rights_i): (mask of those
-    intervals, (xa, xb) endpoints of their preimage intervals)."""
-    for br in m.branches:
-        lo, hi = br.image
-        a = np.maximum(lefts, lo)
-        b = np.minimum(rights, hi)
-        keep = b - a > 0
-        if not keep.any():
-            continue
-        xa, xb = br.pullback(a[keep]), br.pullback(b[keep])
-        yield keep, ((xa, xb) if br.increasing else (xb, xa))
-
-
 @dataclass(eq=False)
 class _Level:
     probs: np.ndarray        # 2^n word probabilities
@@ -75,10 +65,6 @@ class SequenceTable:
         """Probabilities of all 2^n words of length n, indexed with z_1 as MSB."""
         return self._level(n).probs
 
-    def prob(self, word: str) -> float:
-        n, idx = _parse_word(word)
-        return float(self._level(n).probs[idx])
-
     def interval_count(self, n: int) -> int:
         """Intervals (backward path) or merged states (forward path) at level n."""
         return int(self._level(n).counts.sum())
@@ -89,14 +75,6 @@ class SequenceTable:
 
     def bias(self) -> float:
         return float(abs(self.probs(1)[0] - 0.5))
-
-    def kolmogorov_defect(self) -> float:
-        """Largest |P[v] - P[v0] - P[v1]| over all words up to depth-1."""
-        worst = 0.0
-        for n in range(1, self.depth):
-            p, q = self.probs(n), self.probs(n + 1)
-            worst = max(worst, float(np.max(np.abs(p - q[0::2] - q[1::2]))))
-        return worst
 
     def to_csv(self) -> str:
         lines = ["word,interval_count,probability"]
@@ -116,29 +94,10 @@ class SequenceTable:
         lines.append("")
         return "\n".join(lines)
 
-    @classmethod
-    def from_probs(cls, probs_by_level: dict[int, np.ndarray],
-                   threshold: float = 0.5, map_label: str = "synthetic") -> "SequenceTable":
-        """Build a table carrying probabilities only (zero counts, zero mass)."""
-        depth = max(probs_by_level)
-        table = cls(depth=depth, threshold=threshold, map_label=map_label)
-        for n, p in probs_by_level.items():
-            p = np.asarray(p, dtype=float)
-            if p.size != 2 ** n:
-                raise ConfigError(f"level {n} needs {2 ** n} probabilities")
-            table.levels[n] = _Level(p, np.zeros(2 ** n, dtype=np.int64), 0.0)
-        return table
-
     def _level(self, n: int) -> _Level:
         if n not in self.levels:
             raise ConfigError(f"table holds lengths 1..{self.depth}, asked for {n}")
         return self.levels[n]
-
-
-def _parse_word(word: str) -> tuple[int, int]:
-    if not word or any(c not in "01" for c in word):
-        raise ConfigError(f"word must be a nonempty 0/1 string, got {word!r}")
-    return len(word), int(word, 2)
 
 
 def refine(m: PiecewiseMap, gen: BitGen, n: int,
@@ -181,28 +140,42 @@ def _backward_levels(m: PiecewiseMap, t: float, n: int, density: DensityGrid):
 
     S_n(z_1..z_n) = S_1(z_1) intersected with M^{-1}(S_{n-1}(z_2..z_n)), for
     all words at once on flat endpoint arrays; slivers below MIN_INTERVAL drop.
+    One level is a fixed number of passes over (branch, interval) arrays, and
+    its pieces come out by branch, then z_1, then interval.
     """
+    img_lo, img_hi = np.array([br.image for br in m.branches]).T[:, :, None]
+    decreasing = np.flatnonzero([not br.increasing for br in m.branches])
+    # S_1(0) = (0,t) and S_1(1) = (t,1), and the prefix bit z_1 as the MSB
+    split_lo = np.array([[0.0], [t]])
+    split_hi = np.array([[t], [1.0]])
     lefts = np.array([0.0, t])
     rights = np.array([t, 1.0])
     words = np.array([0, 1], dtype=np.int64)
     for level in range(1, n + 1):
         if level > 1:
-            acc_l, acc_r, acc_w = [], [], []
-            for keep, (xa, xb) in _pullbacks(m, lefts, rights):
-                w = words[keep]
-                # split against S_1(0) = (0,t) and S_1(1) = (t,1); prefix bit is MSB
-                for z1, (slo, shi) in enumerate(((0.0, t), (t, 1.0))):
-                    ca = np.maximum(xa, slo)
-                    cb = np.minimum(xb, shi)
-                    ok = cb - ca > MIN_INTERVAL
-                    if ok.any():
-                        acc_l.append(ca[ok])
-                        acc_r.append(cb[ok])
-                        acc_w.append(w[ok] + (z1 << (level - 1)))
-            _check_size(m, level, sum(a.size for a in acc_l))
-            lefts = np.concatenate(acc_l)
-            rights = np.concatenate(acc_r)
-            words = np.concatenate(acc_w)
+            # (branch, end, interval): meet each interval with each branch
+            # image and pull both ends back in one call; each temporary goes
+            # before the next
+            ends = np.empty((img_lo.size, 2, lefts.size))
+            np.maximum(lefts, img_lo, out=ends[:, 0])
+            np.minimum(rights, img_hi, out=ends[:, 1])
+            del lefts, rights
+            meets = ends[:, 1] - ends[:, 0] > 0
+            ends = m.pullback(ends.reshape(img_lo.size, -1)).reshape(ends.shape)
+            if decreasing.size:  # a decreasing branch reverses each interval
+                ends[decreasing] = ends[decreasing, ::-1]
+            # (branch, z_1, interval)
+            lefts = np.maximum(ends[:, :1], split_lo)
+            rights = np.minimum(ends[:, 1:], split_hi)
+            del ends
+            keep = rights - lefts > MIN_INTERVAL
+            keep &= meets[:, None]
+            del meets
+            _check_size(m, level, int(np.count_nonzero(keep)))
+            lefts = lefts[keep]
+            rights = rights[keep]
+            prefix = np.array([[0], [1 << (level - 1)]], dtype=np.int64)
+            words = np.broadcast_to(words + prefix, keep.shape)[keep]
         yield words, density.integrate_pairs(lefts, rights), float((rights - lefts).sum())
 
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chaosrng import (PerturbationSpec, TransferOperator, builtin, builtin_pair,
-                      generate_bits, perturb, refine, steady_state_for,
-                      ulam_matrix, uniform_certificate)
+from chaosrng import (PerturbationSpec, SequenceTable, TransferOperator, builtin,
+                      builtin_pair, generate_bits, kernels, perturb, refine,
+                      steady_state_for, ulam_matrix, uniform_certificate)
 from chaosrng._pykernels import EDGE, NUDGE
 from chaosrng.density import CsrMatrix
 from chaosrng.errors import PerturbationError
+from chaosrng.symbolic import _Level
 
 BUILTINS = ("bernoulli", "tent", "example", "dec-bernoulli", "tailed-tent", "zigzag")
 
@@ -40,6 +41,30 @@ def step(m, x) -> np.ndarray:
     for j, br in enumerate(m.branches):
         y[idx == j] = br.forward(x[idx == j])
     return np.clip(y, EDGE, 1.0 - EDGE)
+
+
+def iterate(m, x0: float, steps: int) -> list:
+    """Trajectory x_1..x_steps of the stream kernel, without noise."""
+    out = np.empty(steps)
+    kernels.trajectory(*m.kernel_spec(), x0, np.zeros(steps), out)
+    return out.tolist()
+
+
+def kolmogorov_defect(table) -> float:
+    """Largest |P[v] - P[v0] - P[v1]| over all words up to depth-1."""
+    worst = 0.0
+    for n in range(1, table.depth):
+        p, q = table.probs(n), table.probs(n + 1)
+        worst = max(worst, float(np.max(np.abs(p - q[0::2] - q[1::2]))))
+    return worst
+
+
+def table_from_probs(probs_by_level: dict, threshold: float = 0.5) -> SequenceTable:
+    """A table carrying the given probabilities only (zero counts, zero mass)."""
+    table = SequenceTable(depth=max(probs_by_level), threshold=threshold, map_label="synthetic")
+    for n, p in probs_by_level.items():
+        table.levels[n] = _Level(np.asarray(p, dtype=float), np.zeros(2 ** n, dtype=np.int64), 0.0)
+    return table
 
 
 def word_frequencies(m, gen, density, n: int, n_samples: int, seed: int = 0) -> np.ndarray:

@@ -81,7 +81,7 @@ def test_entropy_rate_bernoulli(pairs, densities):
     assert rep.bias == pytest.approx(0.0, abs=1e-9)
     assert rep.lyapunov == pytest.approx(math.log(2), abs=1e-6)
     assert rep.convergence_exponent is None  # flat sequence, nothing to fit
-    assert rep.conditional(3) == pytest.approx(1.0, abs=1e-12)
+    assert rep.per_n[2] == (3, pytest.approx(3.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
 
 
 def test_entropy_rate_example(pairs, densities, tables10):

@@ -10,9 +10,8 @@ from chaosrng.postproc import (BitStream, build_typical_coder, check_rate_bound,
                                coder_output_entropy, encode, generate_bits,
                                read_stream, von_neumann, vn_rate_exact,
                                write_stream)
-from chaosrng.symbolic import SequenceTable
 
-from conftest import BUILTINS, step
+from conftest import BUILTINS, step, table_from_probs
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +50,7 @@ def test_generate_without_dither_follows_map_exactly(pairs, densities):
     x = densities["example"].sample(rng)
     expect = []
     for _ in range(12):
-        expect.append(gen.bit(x))
+        expect.append(int(x >= gen.threshold))
         x = step(m, [x])[0]
     # kernels use libm log2, the numpy oracle numpy's; 12 steps stay in lockstep
     assert s.bits.tolist() == expect
@@ -119,11 +118,11 @@ def test_vn_rate_exact_values(tables10):
 
 
 def test_vn_rate_exact_degenerate_source():
-    t = SequenceTable.from_probs({1: np.array([0.0, 1.0]),
+    t = table_from_probs({1: np.array([0.0, 1.0]),
                                   2: np.array([0.0, 0.0, 0.0, 1.0])})
     assert vn_rate_exact(t) == 0.0
     with pytest.raises(ConfigError):
-        vn_rate_exact(SequenceTable.from_probs({1: np.array([0.5, 0.5])}))
+        vn_rate_exact(table_from_probs({1: np.array([0.5, 0.5])}))
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +156,31 @@ def test_typical_coder_window_is_exact(tables10):
     assert sorted(labels.tolist()) == list(range(c.n_typical))
 
 
+@pytest.mark.parametrize("name,n", [("tailed-tent", 8), ("dec-bernoulli", 10), ("example", 10)])
+def test_typical_coder_labels_ignore_ulps(tables10, name, n):
+    # words whose probabilities agree up to rounding keep their labels when
+    # every probability moves by up to 4 ulps
+    p = tables10[name].probs(n)
+    ref = build_typical_coder(table_from_probs({n: p}), n, 0.1)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        q = p + rng.integers(-4, 5, p.size) * np.spacing(p)
+        c = build_typical_coder(table_from_probs({n: q}), n, 0.1)
+        assert np.array_equal(c.typical, ref.typical), name
+        assert np.array_equal(c.labels, ref.labels), name
+
+
+def test_typical_coder_tie_groups_start_at_their_first_word():
+    # a group runs while a probability stays within 1e-9 of the group's
+    # first, not of its neighbour: 0.25(1 - 6e-10) joins 0.25;
+    # 0.25(1 - 1.2e-9), within 1e-9 of that neighbour, starts a new group,
+    # which 0.25(1 - 1.3e-9) joins
+    p = np.array([0.25 * (1 - 1.2e-9), 0.25 * (1 - 6e-10), 0.25, 0.25 * (1 - 1.3e-9)])
+    c = build_typical_coder(table_from_probs({2: p}), 2, 1.0)
+    assert c.n_typical == 4
+    assert c.labels.tolist() == [2, 0, 1, 3]
+
+
 def test_typical_coder_rate_window(tables10):
     # k/n lies within [H - eps - 1/n, H + eps + 1/n] around the entropy rate
     from chaosrng.entropy import conditional_entropy
@@ -174,7 +198,7 @@ def test_typical_coder_empty_raises(tables10):
 
 
 def test_typical_coder_degenerate_source():
-    t = SequenceTable.from_probs({1: np.array([1.0, 0.0]),
+    t = table_from_probs({1: np.array([1.0, 0.0]),
                                   2: np.array([1.0, 0.0, 0.0, 0.0])})
     c = build_typical_coder(t, 2, 0.2)
     assert c.n_typical == 1 and c.k == 0 and c.rate == 0.0
